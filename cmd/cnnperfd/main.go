@@ -8,8 +8,7 @@
 //	                  or {"ptx":"...","trainable_params":N,"gpus":[...]}
 //	POST /v1/lint     {"model":"vgg16"} or {"ptx":"..."}
 //	GET  /healthz     liveness probe
-//	GET  /metrics     JSON counters, or Prometheus text with
-//	                  Accept: text/plain (or ?format=prometheus)
+//	GET  /metrics     Prometheus text exposition
 //	GET  /debug/pprof/*  live profiling (only with -pprof)
 //	GET  /debug/flightrecorder  retained traces as Chrome trace JSON
 //	                  (always on; disable with -no-flight-recorder)

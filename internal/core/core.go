@@ -110,12 +110,6 @@ type Config struct {
 	// (the determinism harness enforces it); the flag exists for
 	// differential testing and as an escape hatch.
 	ReferenceInterp bool
-	// UnbatchedExec keeps the compiled engine but runs each
-	// representative thread through the single-lane path instead of the
-	// warp-style batched engine. Results are identical either way (the
-	// determinism harness enforces it); the flag exists for
-	// differential testing and as an escape hatch.
-	UnbatchedExec bool
 }
 
 // DefaultConfig returns the configuration of the reproduced experiments:
@@ -233,7 +227,7 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 	t0 = time.Now()
 	rep, err := dca.AnalyzeProgramContext(ctx, prog, dca.Options{
 		Cache:       cfg.Cache,
-		Exec:        dca.ExecOptions{Reference: cfg.ReferenceInterp, Unbatched: cfg.UnbatchedExec},
+		Exec:        dca.ExecOptions{Reference: cfg.ReferenceInterp},
 		BlockCounts: cfg.BBFeatures,
 	})
 	stage("dca.analyze", t0)

@@ -582,4 +582,12 @@ func TestLoadEstimatorErrors(t *testing.T) {
 			t.Errorf("case %d should fail", i)
 		}
 	}
+	// The retired version-1 envelope (a bare decision tree) is refused
+	// by version, not misread as a version-2 body.
+	v1 := `{"format":"cnnperf-estimator","version":1,"schema":["a","b"],` +
+		`"model":{"kind":"decision_tree","num_features":2,"root":{"value":1,"samples":1}}}`
+	_, err := LoadEstimator(strings.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "unsupported estimator version 1") {
+		t.Errorf("v1 envelope: err = %v, want unsupported estimator version 1", err)
+	}
 }

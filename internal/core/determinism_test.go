@@ -116,8 +116,6 @@ func TestReferenceVsCompiledInterpreter(t *testing.T) {
 		{"reference_uncached", core.Config{Workers: workers, ReferenceInterp: true}},
 		{"reference_cached", core.Config{Workers: workers, ReferenceInterp: true, Cache: analysiscache.New(0)}},
 		{"compiled_cached", core.Config{Workers: workers, Cache: analysiscache.New(0)}},
-		{"unbatched_uncached", core.Config{Workers: workers, UnbatchedExec: true}},
-		{"unbatched_cached", core.Config{Workers: workers, UnbatchedExec: true, Cache: analysiscache.New(0)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,9 +9,9 @@ import (
 )
 
 // estimatorEnvelope is the on-disk form of a trained estimator: the
-// feature schema plus the serialised regressor. Version 1 carried a
-// bare decision tree (the paper's final model); version 2 wraps any of
-// the five paper regressors in the mlearn envelope. Both versions load.
+// feature schema plus the serialised regressor. Version 2 wraps any of
+// the five paper regressors in the mlearn envelope; the retired version
+// 1 (a bare decision tree) is rejected as unsupported.
 type estimatorEnvelope struct {
 	Format  string          `json:"format"`
 	Schema  []string        `json:"schema"`
@@ -44,8 +43,8 @@ func MarshalEstimator(e *Estimator) ([]byte, error) {
 	})
 }
 
-// UnmarshalEstimator reconstructs an estimator from either envelope
-// version.
+// UnmarshalEstimator reconstructs an estimator from a version-2
+// envelope.
 func UnmarshalEstimator(b []byte) (*Estimator, error) {
 	var env estimatorEnvelope
 	if err := json.Unmarshal(b, &env); err != nil {
@@ -54,36 +53,22 @@ func UnmarshalEstimator(b []byte) (*Estimator, error) {
 	if env.Format != estimatorFormat {
 		return nil, fmt.Errorf("core: unexpected format %q", env.Format)
 	}
-	switch env.Version {
-	case 1:
-		// Legacy envelope: a bare decision tree with the original
-		// fixed-width schemas.
-		if len(env.Schema) != len(FeatureNames) && len(env.Schema) != len(ExtendedFeatureNames) {
-			return nil, fmt.Errorf("core: estimator schema has %d features, expected %d or %d",
-				len(env.Schema), len(FeatureNames), len(ExtendedFeatureNames))
-		}
-		tree, err := mlearn.LoadDecisionTree(bytes.NewReader(env.Model))
-		if err != nil {
-			return nil, err
-		}
-		return &Estimator{Regressor: tree, Schema: env.Schema}, nil
-	case 2:
-		if len(env.Schema) == 0 {
-			return nil, fmt.Errorf("core: estimator envelope has an empty schema")
-		}
-		reg, err := mlearn.UnmarshalRegressor(env.Model)
-		if err != nil {
-			return nil, err
-		}
-		return &Estimator{Regressor: reg, Schema: env.Schema}, nil
-	default:
+	if env.Version != 2 {
 		return nil, fmt.Errorf("core: unsupported estimator version %d", env.Version)
 	}
+	if len(env.Schema) == 0 {
+		return nil, fmt.Errorf("core: estimator envelope has an empty schema")
+	}
+	reg, err := mlearn.UnmarshalRegressor(env.Model)
+	if err != nil {
+		return nil, err
+	}
+	return &Estimator{Regressor: reg, Schema: env.Schema}, nil
 }
 
 // Save serialises the estimator so a trained model can be distributed
-// without the training data. Since version 2 any of the five paper
-// regressors is persistable, not only the decision tree.
+// without the training data. Any of the five paper regressors is
+// persistable.
 func (e *Estimator) Save(w io.Writer) error {
 	b, err := MarshalEstimator(e)
 	if err != nil {
@@ -96,8 +81,7 @@ func (e *Estimator) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadEstimator deserialises an estimator written by Save (either
-// envelope version).
+// LoadEstimator deserialises an estimator written by Save.
 func LoadEstimator(r io.Reader) (*Estimator, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {

@@ -192,7 +192,6 @@ func AnalyzePTXContext(ctx context.Context, src string, opt PTXOptions, cfg Conf
 		Cache: cfg.Cache,
 		Exec: dca.ExecOptions{
 			Reference: cfg.ReferenceInterp,
-			Unbatched: cfg.UnbatchedExec,
 			MaxSteps:  opt.MaxSteps,
 		},
 	})

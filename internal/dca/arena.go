@@ -72,10 +72,9 @@ func (s *slab[T]) reset() {
 }
 
 // execArena owns every transient buffer of one execution context:
-// register frames and writtenness bits (single-lane and batched),
-// struct-of-arrays varying-slot lane arrays, per-batch uniform frames,
-// lane index lists, the batch worklist, and per-instruction visit
-// counters. One arena serves one goroutine; AnalyzeProgram resets it
+// parameter frames and writtenness bits, struct-of-arrays varying-slot
+// lane arrays, per-batch uniform frames, lane index lists, the batch
+// worklist, and per-instruction visit counters. One arena serves one goroutine; AnalyzeProgram resets it
 // between launches.
 type execArena struct {
 	i64 slab[int64]

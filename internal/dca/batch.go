@@ -20,11 +20,11 @@ import (
 // the continuing group keeps the batch state, the deferred group is
 // pushed onto a worklist with a copy of the uniform frame and counters.
 // Every lane's result and error are, instruction for instruction,
-// exactly what the single-lane engines produce — the differential and
-// property tests enforce byte-level agreement.
+// exactly what the reference interpreter (ExecuteThread) produces — the
+// differential and property tests enforce byte-level agreement.
 
 // LaneResult is one lane's outcome of a batched execution: the same
-// (ExecResult, error) pair Execute would return for that lane's
+// (ExecResult, error) pair ExecuteThread returns for that lane's
 // ThreadCtx.
 type LaneResult struct {
 	Res ExecResult
@@ -32,7 +32,8 @@ type LaneResult struct {
 }
 
 // ExecuteBatch runs one thread per ThreadCtx over the compiled bytecode
-// and returns per-lane results identical to len(ctxs) Execute calls.
+// and returns per-lane results identical to len(ctxs) ExecuteThread
+// calls.
 // Lanes are grouped by (NTid, NCtaID) up front and regrouped on control
 // divergence, so threads sharing a control-flow class pay for one
 // fetch-decode between them. The call allocates a fresh arena; hot
@@ -81,8 +82,10 @@ type batchExec struct {
 }
 
 // executeBatch is ExecuteBatch over a caller-owned arena, optional
-// per-lane visit profiles (visits[lane] as in execute), and a
-// caller-owned result slice. After arena warm-up the call performs no
+// per-lane visit profiles, and a caller-owned result slice. A non-nil
+// visits[lane] (length len(code)) accumulates how many times each pc
+// executed for that lane, including counted-but-not-interpreted
+// stretches and closed-form loop iterations. After arena warm-up the call performs no
 // heap allocations on the success path.
 func (c *CompiledKernel) executeBatch(k *ptx.Kernel, params map[string]int64, ctxs []ThreadCtx, visits [][]int64, ar *execArena, out []LaneResult) {
 	nl := len(ctxs)
@@ -171,7 +174,7 @@ func (bx *batchExec) finishAll(b *batch, err error) {
 	b.lanes = b.lanes[:0]
 }
 
-// predUndefErr mirrors the single-lane engines' undefined-guard error.
+// predUndefErr mirrors the reference interpreter's undefined-guard error.
 func (bx *batchExec) predUndefErr(pc, slot int32) error {
 	return fmt.Errorf("dca: kernel %q pc %d: predicate %s undefined", bx.k.Name, pc, bx.c.regNames[slot])
 }
@@ -341,8 +344,8 @@ func (bx *batchExec) run(b *batch) {
 				}
 				continue
 			case copExit:
-				// Like the single-lane engines: a predicated ret
-				// terminates the thread whether or not the guard holds.
+				// Like the reference: a predicated ret terminates
+				// the thread whether or not the guard holds.
 				bx.finishAll(b, nil)
 				return
 			}
@@ -379,7 +382,7 @@ func (bx *batchExec) run(b *batch) {
 
 // scalarStep executes one uniform non-branch instruction once for the
 // whole batch, writing the per-batch uniform frame. Any error is shared
-// by every lane — exactly what len(lanes) single-lane runs would each
+// by every lane — exactly what len(lanes) reference runs would each
 // report.
 func (bx *batchExec) scalarStep(b *batch, ci *cinst, pc int32) error {
 	c := bx.c
@@ -495,7 +498,7 @@ func (bx *batchExec) vectorStep(b *batch, ci *cinst, pc int32) {
 }
 
 // laneStep executes one varying instruction for one lane, mirroring the
-// single-lane engine's guard-then-operands evaluation order and error
+// reference interpreter's guard-then-operands evaluation order and error
 // text case for case.
 func (bx *batchExec) laneStep(b *batch, ci *cinst, pc, ln int32) error {
 	c := bx.c
@@ -605,8 +608,8 @@ func (bx *batchExec) laneStep(b *batch, ci *cinst, pc, ln int32) error {
 	return nil
 }
 
-// binop evaluates one arithmetic/logic opcode with the single-lane
-// engine's exact division/remainder error text.
+// binop evaluates one arithmetic/logic opcode with the reference
+// interpreter's exact division/remainder error text.
 func binop(k *ptx.Kernel, pc int32, op copKind, a, b int64) (int64, error) {
 	switch op {
 	case copAdd:
@@ -647,7 +650,7 @@ func binop(k *ptx.Kernel, pc int32, op copKind, a, b int64) (int64, error) {
 	return int64(uint64(a) >> uint(b&63)), nil // copShr
 }
 
-// setp evaluates one comparison with the single-lane engine's exact
+// setp evaluates one comparison with the reference interpreter's exact
 // unknown-comparison error text.
 func setp(k *ptx.Kernel, pc int32, ci *cinst, a, b int64) (int64, error) {
 	var r bool
@@ -735,7 +738,7 @@ func (bx *batchExec) vectorBranch(b *batch, ci *cinst, pc int32) {
 
 // vectorExit ends every lane at a ret with a varying guard: the guard's
 // definedness is checked per lane (the exit itself ignores its value,
-// like the single-lane engines).
+// like the reference interpreter).
 func (bx *batchExec) vectorExit(b *batch, ci *cinst, pc int32) {
 	out := bx.out
 	for _, ln := range b.lanes {
@@ -767,8 +770,11 @@ const (
 )
 
 // loopKey resolves one lane's closed-form outcome: the trip count, or a
-// sentinel for "interpret normally" / "step-limit abort" — mirroring
-// runLoop's resolution order exactly.
+// sentinel for "interpret normally" / "step-limit abort". An
+// unresolvable entry state falls back to interpretation, which
+// reproduces the reference behavior including its errors and MaxSteps
+// abort; a trip count whose closed form crosses MaxSteps means the
+// reference would abort inside the loop.
 func (bx *batchExec) loopKey(b *batch, al *affineLoop, ln int32) int64 {
 	v0, ok := bx.readSlot(b, al.ind, ln)
 	if !ok {
@@ -897,4 +903,25 @@ func (bx *batchExec) runLoopBatch(b *batch, al *affineLoop) loopOutcome {
 		b.uframe[loc], b.uwritten[loc] = exitPred, true
 	}
 	return loopApplied
+}
+
+// evalErr reconstructs the reference interpreter's operand-resolution
+// error for a failed ref.
+func (c *CompiledKernel) evalErr(k *ptx.Kernel, r ref) error {
+	switch r.kind {
+	case refSlot:
+		return fmt.Errorf("dca: register %s read before write", c.regNames[r.val])
+	case refBad:
+		op := c.badNames[r.val]
+		if strings.HasPrefix(op, "0f") || strings.HasPrefix(op, "0F") {
+			return fmt.Errorf("dca: bad float immediate %q", op)
+		}
+		return fmt.Errorf("dca: cannot evaluate operand %q", op)
+	}
+	return fmt.Errorf("dca: kernel %q: internal operand error", k.Name)
+}
+
+// stepLimitErr is the shared runaway-execution abort.
+func stepLimitErr(k *ptx.Kernel, maxSteps int64) error {
+	return fmt.Errorf("dca: kernel %q exceeded %d steps (infinite loop?)", k.Name, maxSteps)
 }

@@ -132,8 +132,8 @@ type affineLoop struct {
 // bytecode: opcodes interned to an enum, register names resolved to
 // frame slots, immediates and special registers pre-decoded, branch
 // targets pre-resolved to pc indices, and per-pc classes precomputed.
-// A compiled kernel is immutable and safe for concurrent Execute calls;
-// the analysis cache shares one instance across content-identical
+// A compiled kernel is immutable and safe for concurrent ExecuteBatch
+// calls; the analysis cache shares one instance across content-identical
 // kernels (parameters are therefore bound by declaration position, not
 // by name).
 type CompiledKernel struct {

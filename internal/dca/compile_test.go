@@ -23,10 +23,10 @@ func parseOne(t *testing.T, body string) *ptx.Kernel {
 	return m.Kernels[0]
 }
 
-// bothEngines executes one thread on the reference interpreter, the
-// compiled bytecode and a one-lane batch, and requires identical counts
-// and identical error behavior (including the message) from all three.
-// It returns the reference result.
+// bothEngines executes one thread on the reference interpreter and as a
+// one-lane batch of the compiled bytecode, and requires identical counts
+// and identical error behavior (including the message) from both. It
+// returns the reference result.
 func bothEngines(t *testing.T, k *ptx.Kernel, params map[string]int64, ctx ThreadCtx, opts ExecOptions) (ExecResult, error) {
 	t.Helper()
 	g := BuildDepGraph(k)
@@ -36,25 +36,18 @@ func bothEngines(t *testing.T, k *ptx.Kernel, params map[string]int64, ctx Threa
 	if cerr != nil {
 		t.Fatalf("Compile: %v", cerr)
 	}
-	got, gerr := ck.Execute(k, params, ctx)
-	bout := ck.ExecuteBatch(k, params, []ThreadCtx{ctx})
-	for _, engine := range []struct {
-		name string
-		res  ExecResult
-		err  error
-	}{{"compiled", got, gerr}, {"batched", bout[0].Res, bout[0].Err}} {
-		if (werr == nil) != (engine.err == nil) {
-			t.Fatalf("engines disagree on error: reference=%v %s=%v", werr, engine.name, engine.err)
+	got := ck.ExecuteBatch(k, params, []ThreadCtx{ctx})[0]
+	if (werr == nil) != (got.Err == nil) {
+		t.Fatalf("engines disagree on error: reference=%v batched=%v", werr, got.Err)
+	}
+	if werr != nil {
+		if werr.Error() != got.Err.Error() {
+			t.Fatalf("error text diverged:\nreference: %v\nbatched: %v", werr, got.Err)
 		}
-		if werr != nil {
-			if werr.Error() != engine.err.Error() {
-				t.Fatalf("error text diverged:\nreference: %v\n%s: %v", werr, engine.name, engine.err)
-			}
-			continue
-		}
-		if engine.res != want {
-			t.Fatalf("counts diverged: reference=%+v %s=%+v", want, engine.name, engine.res)
-		}
+		return want, werr
+	}
+	if got.Res != want {
+		t.Fatalf("counts diverged: reference=%+v batched=%+v", want, got.Res)
 	}
 	return want, werr
 }
@@ -269,8 +262,8 @@ func TestCompiledReenteredLoop(t *testing.T) {
 }
 
 // TestCompiledExecuteAllocsIndependentOfTripCount asserts the
-// steady-state property the tentpole targets: the per-call allocation
-// count of the compiled engine does not grow with the number of
+// steady-state property of the compiled engine: the per-call allocation
+// count of a one-lane batch does not grow with the number of
 // interpreter steps.
 func TestCompiledExecuteAllocsIndependentOfTripCount(t *testing.T) {
 	allocs := func(bound int64) float64 {
@@ -282,9 +275,10 @@ func TestCompiledExecuteAllocsIndependentOfTripCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ctxs := []ThreadCtx{{NTid: 1, NCtaID: 1}}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := ck.Execute(k, nil, ThreadCtx{NTid: 1, NCtaID: 1}); err != nil {
-				t.Fatal(err)
+			if out := ck.ExecuteBatch(k, nil, ctxs); out[0].Err != nil {
+				t.Fatal(out[0].Err)
 			}
 		})
 	}
@@ -318,8 +312,7 @@ func stripTime(r *Report) *Report {
 }
 
 // TestCompiledMatchesReferenceOnZoo is the zoo-wide equivalence gate:
-// with the compiler enabled — batched or unbatched — AnalyzeProgram must
-// reproduce the reference interpreter's reports byte for byte on every
+// with the batched compiled engine, AnalyzeProgram must reproduce the reference interpreter's reports byte for byte on every
 // CNN, with the analysis cache on and off. Byte-for-byte is literal:
 // beyond DeepEqual, every KernelReport must serialize to identical
 // bytes across engines. -short runs a 4-model subset.
@@ -342,9 +335,7 @@ func TestCompiledMatchesReferenceOnZoo(t *testing.T) {
 			opts Options
 		}{
 			{"batched", Options{BlockCounts: true}},
-			{"unbatched", Options{Exec: ExecOptions{Unbatched: true}, BlockCounts: true}},
 			{"batched+cache", Options{Cache: analysiscache.New(0), BlockCounts: true}},
-			{"unbatched+cache", Options{Exec: ExecOptions{Unbatched: true}, Cache: analysiscache.New(0), BlockCounts: true}},
 		}
 		for _, eng := range engines {
 			got, err := AnalyzeProgram(prog, eng.opts)

@@ -282,11 +282,11 @@ func analyzeKernelLaunchUncached(k *ptx.Kernel, l ptxgen.Launch, opts Options, p
 	slice := kp.slice
 
 	// Block-count instrumentation: only the bytecode engine carries the
-	// per-instruction visit counters. Under Reference mode (or after a
-	// compiler bailout) the bytecode is compiled on the side purely for
-	// the profile — the engines are differentially verified identical,
-	// so the replay cannot change the report — and a kernel the
-	// compiler rejects simply reports nil BlockVisits.
+	// per-instruction visit counters. Under Reference mode the bytecode
+	// is compiled on the side purely for the profile and each thread is
+	// replayed through a one-lane batch — the engines are differentially
+	// verified identical, so the replay cannot change the report — and a
+	// kernel the compiler rejects simply reports nil BlockVisits.
 	vck := kp.ck
 	if opts.BlockCounts && vck == nil {
 		vck = compiledKernel(k, slice, opts)
@@ -323,14 +323,13 @@ func analyzeKernelLaunchUncached(k *ptx.Kernel, l ptxgen.Launch, opts Options, p
 
 	// Engine selection: the batched compiled engine is the default — the
 	// in-bounds and out-of-bounds representatives run as one two-lane
-	// batch, sharing every uniform computation. opts.Exec.Unbatched runs
-	// the compiled engine one lane at a time; opts.Exec.Reference (or a
-	// compiler bailout) runs the reference tree-walking interpreter. All
-	// three produce identical results — the differential fuzz target and
-	// the zoo-wide equivalence tests enforce it.
+	// batch, sharing every uniform computation. opts.Exec.Reference (or a
+	// compiler bailout) runs the reference tree-walking interpreter. Both
+	// produce identical results — the differential fuzz target and the
+	// zoo-wide equivalence tests enforce it.
 	var inRes, oobRes ExecResult
 	var inErr, oobErr error
-	if kp.ck != nil && !opts.Exec.Unbatched {
+	if kp.ck != nil {
 		var ctxs [2]ThreadCtx
 		var outs [2]LaneResult
 		var vis [2][]int64
@@ -351,12 +350,13 @@ func analyzeKernelLaunchUncached(k *ptx.Kernel, l ptxgen.Launch, opts Options, p
 		}
 	} else {
 		exec := func(tc ThreadCtx, visits []int64) (ExecResult, error) {
-			if kp.ck != nil {
-				return kp.ck.execute(k, l.Params, tc, visits, ar)
-			}
 			res, err := ExecuteThread(k, slice, l.Params, tc, opts.Exec)
 			if err == nil && visits != nil {
-				if _, verr := vck.execute(k, l.Params, tc, visits, ar); verr != nil {
+				ctxs := [1]ThreadCtx{tc}
+				vis := [1][]int64{visits}
+				var out [1]LaneResult
+				vck.executeBatch(k, l.Params, ctxs[:], vis[:], ar, out[:])
+				if out[0].Err != nil {
 					visitsOK = false
 				}
 			}

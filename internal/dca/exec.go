@@ -66,11 +66,6 @@ type ExecOptions struct {
 	// by construction (and by the differential tests); the flag exists
 	// for differential testing and as an escape hatch.
 	Reference bool
-	// Unbatched forces the compiled engine to execute representative
-	// threads one at a time instead of as a warp-style batch. Results
-	// are identical either way (the zoo-wide equivalence tests enforce
-	// it); the flag exists for differential testing and benchmarking.
-	Unbatched bool
 }
 
 // effectiveMaxSteps resolves the MaxSteps default shared by both
@@ -85,8 +80,8 @@ func (o ExecOptions) effectiveMaxSteps() int64 {
 // ExecuteThread runs one thread through the kernel, evaluating only the
 // control slice (or everything under opts.Full) and counting every
 // instruction the thread would execute. This is the reference
-// interpreter; CompiledKernel.Execute is the fast path and must agree
-// with it exactly.
+// interpreter; CompiledKernel.ExecuteBatch is the fast path and must
+// agree with it exactly.
 func ExecuteThread(k *ptx.Kernel, slice *ControlSlice, params map[string]int64, ctx ThreadCtx, opts ExecOptions) (res ExecResult, err error) {
 	maxSteps := opts.effectiveMaxSteps()
 	env := make(map[string]int64, 32)

@@ -10,7 +10,7 @@ import (
 // Persistent serialization of the dynamic-code-analysis artifacts: the
 // per-launch KernelReport and the compiled bytecode. The bytecode
 // decoder validates every slot, target and enum against the invariants
-// Execute relies on — the hot loop indexes frames and prefix tables
+// the batched engine relies on — the hot loop indexes frames and prefix tables
 // without bounds checks, so a corrupt artifact must be rejected here,
 // never executed. Bump the version constants when the shapes change.
 
@@ -194,7 +194,7 @@ func UnmarshalCompiledKernel(b []byte) (*CompiledKernel, error) {
 	for pc := range j.Code {
 		cj := &j.Code[pc]
 		// Uninterpreted pcs keep the compiler's zero-valued cinst and are
-		// never read by Execute (the skip loop jumps over them via
+		// never read by the engine (the skip loop jumps over them via
 		// nextInterp, whose progress is validated below), so only
 		// interpreted instructions face the full battery.
 		if !j.Interp[pc] {
@@ -222,7 +222,7 @@ func UnmarshalCompiledKernel(b []byte) (*CompiledKernel, error) {
 		}
 		op := copKind(cj.Op)
 		// Every opcode that writes the frame must carry a real slot;
-		// Execute stores through dst unconditionally for these.
+		// the engine stores through dst unconditionally for these.
 		switch op {
 		case copBad, copNop, copBra, copExit:
 		default:

@@ -58,17 +58,11 @@ func TestCompiledKernelRoundTrip(t *testing.T) {
 			if !bytes.Equal(b, b2) {
 				t.Error("re-marshal is not byte-identical")
 			}
-			for _, tctx := range ctxs {
-				want, werr := ck.Execute(k, params, tctx)
-				have, herr := got.Execute(k, params, tctx)
-				if (werr == nil) != (herr == nil) {
-					t.Fatalf("ctx %+v: errors disagree: %v vs %v", tctx, werr, herr)
-				}
-				if werr != nil {
-					continue
-				}
-				if !reflect.DeepEqual(want, have) {
-					t.Fatalf("ctx %+v: original executes %+v, reconstruction %+v", tctx, want, have)
+			want := ck.ExecuteBatch(k, params, ctxs)
+			have := got.ExecuteBatch(k, params, ctxs)
+			for i, tctx := range ctxs {
+				if !sameLane(want[i], have[i]) {
+					t.Fatalf("ctx %+v: original executes %+v, reconstruction %+v", tctx, want[i], have[i])
 				}
 			}
 		})
@@ -186,9 +180,23 @@ func TestSerializeRejections(t *testing.T) {
 	})
 }
 
+// sameLane reports whether two lane outcomes agree on counts and on the
+// error decision and text.
+func sameLane(a, b LaneResult) bool {
+	if (a.Err == nil) != (b.Err == nil) {
+		return false
+	}
+	if a.Err != nil {
+		return a.Err.Error() == b.Err.Error()
+	}
+	return a.Res == b.Res
+}
+
 // FuzzCompiledKernelDecode: arbitrary bytes into the bytecode decoder
-// must never panic, and anything accepted must execute without
-// panicking on a hostile-but-plausible launch.
+// must never panic, and anything accepted must run on the batched
+// engine without panicking on a hostile-but-plausible launch — as the
+// in-bounds/out-of-bounds pair the analysis runs and as one lane per
+// thread, each lane of the pair reproducing its own one-lane run.
 func FuzzCompiledKernelDecode(f *testing.F) {
 	for _, tc := range serializeKernels {
 		src := ".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k(\n.param .u64 p0\n)\n{\n" + tc.body + "}\n"
@@ -220,6 +228,16 @@ func FuzzCompiledKernelDecode(f *testing.F) {
 			return
 		}
 		// Accepted bytecode must be safe to run: bounded and panic-free.
-		_, _ = ck.Execute(hostKernel, map[string]int64{"p0": 4}, ThreadCtx{Tid: 1, NTid: 32, NCtaID: 2})
+		params := map[string]int64{"p0": 4}
+		pair := []ThreadCtx{
+			{CtaID: 0, Tid: 0, NTid: 32, NCtaID: 2},
+			{CtaID: 1, Tid: 31, NTid: 32, NCtaID: 2},
+		}
+		out := ck.ExecuteBatch(hostKernel, params, pair)
+		for i, ctx := range pair {
+			if one := ck.ExecuteBatch(hostKernel, params, pair[i:i+1])[0]; !sameLane(out[i], one) {
+				t.Fatalf("lane %d (%+v): pair batch gives %+v, one-lane batch %+v", i, ctx, out[i], one)
+			}
+		}
 	})
 }

@@ -7,9 +7,10 @@ import (
 	"cnnperf/internal/ptx"
 )
 
-// TestZeroAlloc pins the tentpole allocation guarantee: once the arena
-// is warm, steady-state compiled execution — batched at any lane count,
-// and single-lane — performs exactly zero heap allocations per run.
+// TestZeroAlloc pins the allocation guarantee: once the arena is warm,
+// steady-state compiled execution — batched at any lane count, and a
+// single lane carrying a per-instruction visit profile (the block-count
+// path) — performs exactly zero heap allocations per run.
 // The gate runs in CI with -count=1; any regression (an escaping
 // closure, a map materialization, a slice growing past its slab) fails
 // the build rather than silently eroding throughput.
@@ -70,18 +71,21 @@ func TestZeroAlloc(t *testing.T) {
 			})
 		}
 		t.Run(w.name+"/single", func(t *testing.T) {
-			ctx := ThreadCtx{Tid: 3, CtaID: 1, NTid: 32, NCtaID: 8}
+			ctxs := []ThreadCtx{{Tid: 3, CtaID: 1, NTid: 32, NCtaID: 8}}
+			visits := [][]int64{make([]int64, len(w.k.Body))}
+			out := make([]LaneResult, 1)
 			ar := newExecArena()
-			if _, err := w.ck.execute(w.k, w.params, ctx, nil, ar); err != nil {
-				t.Fatal(err)
+			w.ck.executeBatch(w.k, w.params, ctxs, visits, ar, out)
+			if out[0].Err != nil {
+				t.Fatal(out[0].Err)
 			}
 			ar.reset()
 			avg := testing.AllocsPerRun(50, func() {
-				_, _ = w.ck.execute(w.k, w.params, ctx, nil, ar)
+				w.ck.executeBatch(w.k, w.params, ctxs, visits, ar, out)
 				ar.reset()
 			})
 			if avg != 0 {
-				t.Errorf("%s: %v allocs per warm single-lane execution, want 0", w.name, avg)
+				t.Errorf("%s: %v allocs per warm profiled single-lane execution, want 0", w.name, avg)
 			}
 		})
 	}

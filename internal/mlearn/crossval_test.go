@@ -1,9 +1,7 @@
 package mlearn
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -77,68 +75,6 @@ func TestCrossValidateErrors(t *testing.T) {
 	}
 	if _, err := CrossValidate(f, nil, nil, 2, 1); err == nil {
 		t.Error("empty data should error")
-	}
-}
-
-func TestDecisionTreeSaveLoadRoundTrip(t *testing.T) {
-	X, y := toyData(50)
-	tree := NewDecisionTree()
-	if err := tree.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	back, err := LoadDecisionTree(&buf)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	// Identical predictions on training and fresh points.
-	for _, x := range X {
-		if tree.Predict(x) != back.Predict(x) {
-			t.Fatal("loaded tree predicts differently")
-		}
-	}
-	for i := 0; i < 20; i++ {
-		q := []float64{float64(i) - 10, float64(i) / 3}
-		if tree.Predict(q) != back.Predict(q) {
-			t.Fatal("loaded tree differs on query points")
-		}
-	}
-	// Importances survive.
-	a, b := tree.FeatureImportances(), back.FeatureImportances()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Error("importances lost in round trip")
-		}
-	}
-	if back.Depth() != tree.Depth() || back.Leaves() != tree.Leaves() {
-		t.Error("structure changed in round trip")
-	}
-}
-
-func TestSaveUnfittedTree(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewDecisionTree().Save(&buf); err == nil {
-		t.Error("saving an unfitted tree should error")
-	}
-}
-
-func TestLoadDecisionTreeErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"{",
-		`{"kind":"random_forest","num_features":2,"root":{"value":1,"samples":1}}`,
-		`{"kind":"decision_tree","num_features":0,"root":{"value":1,"samples":1}}`,
-		`{"kind":"decision_tree","num_features":2}`,
-		`{"kind":"decision_tree","num_features":2,"root":{"value":1,"samples":2,"left":{"value":1,"samples":1}}}`,
-		`{"kind":"decision_tree","num_features":2,"root":{"feature":9,"threshold":1,"value":1,"samples":2,"left":{"value":1,"samples":1},"right":{"value":2,"samples":1}}}`,
-	}
-	for i, src := range cases {
-		if _, err := LoadDecisionTree(strings.NewReader(src)); err == nil {
-			t.Errorf("case %d should fail to load", i)
-		}
 	}
 }
 

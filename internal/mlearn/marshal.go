@@ -253,7 +253,7 @@ func (t *DecisionTree) unmarshalBody(b []byte) error {
 }
 
 // decodeTreeJSON converts and validates one serialised tree (shared by
-// UnmarshalRegressor and LoadDecisionTree).
+// the decision-tree and random-forest bodies).
 func decodeTreeJSON(j *treeJSON) (*DecisionTree, error) {
 	if j.Kind != "decision_tree" {
 		return nil, fmt.Errorf("mlearn: unexpected model kind %q", j.Kind)

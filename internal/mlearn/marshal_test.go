@@ -148,6 +148,33 @@ func TestUnmarshalRejections(t *testing.T) {
 	}
 }
 
+// TestLoadDecisionTreeErrors feeds corrupt decision-tree bodies, each
+// inside an otherwise valid envelope, and checks the tree decoder's
+// structural checks reject every one. A well-formed body in the same
+// envelope must load, so each rejection is down to the body.
+func TestLoadDecisionTreeErrors(t *testing.T) {
+	wrap := func(body string) []byte {
+		return []byte(`{"format":"cnnperf-mlearn","version":1,"kind":"decision_tree","model":` + body + `}`)
+	}
+	if _, err := UnmarshalRegressor(wrap(`{"kind":"decision_tree","num_features":2,"root":{"value":1,"samples":1}}`)); err != nil {
+		t.Fatalf("well-formed tree body rejected: %v", err)
+	}
+	cases := []string{
+		"",
+		"{",
+		`{"kind":"random_forest","num_features":2,"root":{"value":1,"samples":1}}`,
+		`{"kind":"decision_tree","num_features":0,"root":{"value":1,"samples":1}}`,
+		`{"kind":"decision_tree","num_features":2}`,
+		`{"kind":"decision_tree","num_features":2,"root":{"value":1,"samples":2,"left":{"value":1,"samples":1}}}`,
+		`{"kind":"decision_tree","num_features":2,"root":{"feature":9,"threshold":1,"value":1,"samples":2,"left":{"value":1,"samples":1},"right":{"value":2,"samples":1}}}`,
+	}
+	for i, body := range cases {
+		if _, err := UnmarshalRegressor(wrap(body)); err == nil {
+			t.Errorf("case %d should fail to load", i)
+		}
+	}
+}
+
 // goldenEntry pins one regressor kind: its serialised form and a
 // recorded prediction, so both the byte format and the semantics of
 // loading old artifacts are locked.

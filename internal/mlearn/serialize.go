@@ -1,10 +1,6 @@
 package mlearn
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // treeNodeJSON is the serialisable form of one tree node.
 type treeNodeJSON struct {
@@ -64,33 +60,6 @@ func decodeNode(j *treeNodeJSON) (*treeNode, error) {
 		left:      left,
 		right:     right,
 	}, nil
-}
-
-// Save serialises the fitted tree as JSON so a trained estimator can be
-// shipped to DSE users without the training dataset.
-func (t *DecisionTree) Save(w io.Writer) error {
-	if t.root == nil {
-		return fmt.Errorf("mlearn: cannot save an unfitted decision tree")
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(treeJSON{
-		Kind:        "decision_tree",
-		NumFeatures: t.numFeat,
-		MaxDepth:    t.MaxDepth,
-		MinLeaf:     t.MinLeaf,
-		MinSplit:    t.MinSplit,
-		Importances: t.importances,
-		Root:        encodeNode(t.root),
-	})
-}
-
-// LoadDecisionTree deserialises a tree written by Save.
-func LoadDecisionTree(r io.Reader) (*DecisionTree, error) {
-	var j treeJSON
-	if err := json.NewDecoder(r).Decode(&j); err != nil {
-		return nil, fmt.Errorf("mlearn: decoding tree: %w", err)
-	}
-	return decodeTreeJSON(&j)
 }
 
 // validateLoaded sanity-checks a deserialised tree: feature indices in

@@ -126,7 +126,7 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	}
 
 	// The fr_* metric families are live on /metrics.
-	text := scrapePrometheus(t, ts.URL)
+	text := scrapePrometheus(t, ts.URL, "", "")
 	if !bytes.Contains([]byte(text), []byte("cnnperfd_fr_requests_total")) {
 		t.Error("cnnperfd_fr_requests_total missing from /metrics")
 	}

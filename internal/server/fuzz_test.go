@@ -103,8 +103,10 @@ func FuzzPredictHandler(f *testing.F) {
 				t.Fatalf("status %d envelope has empty code or message: %s", rec.Code, raw)
 			}
 		}
-		if snap := s.MetricsSnapshot(); snap.Panics != 0 {
-			t.Fatalf("handler panicked (%d recovered panics) on body %q", snap.Panics, body)
+		mrec := httptest.NewRecorder()
+		h.ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if n := promValue(t, mrec.Body.String(), "cnnperfd_panics_total"); n != 0 {
+			t.Fatalf("handler panicked (%v recovered panics) on body %q", n, body)
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"cnnperf/internal/core"
 	"cnnperf/internal/gpu"
@@ -303,29 +302,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics content-negotiates the telemetry document: Prometheus
-// text exposition when the client asks for it (?format=prometheus, or
-// an Accept header naming text/plain or openmetrics), the legacy JSON
-// snapshot otherwise. Both views read the same instrument registry.
+// handleMetrics serves the instrument registry as Prometheus text
+// exposition. Query parameters and the Accept header are ignored, so
+// scrapers that still send ?format=prometheus keep working.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", obs.PrometheusContentType)
-		w.WriteHeader(http.StatusOK)
-		_ = s.metrics.writePrometheus(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.metrics.snapshot(s.cache.Stats()))
-}
-
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
+	w.Header().Set("Content-Type", obs.PrometheusContentType)
+	w.WriteHeader(http.StatusOK)
+	_ = s.metrics.writePrometheus(w)
 }
 
 func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {

@@ -13,11 +13,10 @@ import (
 )
 
 // The serving telemetry is a thin façade over an obs.Registry: every
-// counter the daemon records lives in one instrument registry that can
-// render itself both as the legacy /metrics JSON document (Snapshot)
-// and as Prometheus text exposition. Recording stays lock-free; the
-// cache and pool counters are bridged in as func metrics evaluated at
-// scrape time.
+// counter the daemon records lives in one instrument registry, and
+// /metrics renders it as Prometheus text exposition — the only format
+// it serves. Recording stays lock-free; the cache and pool counters are
+// bridged in as func metrics evaluated at scrape time.
 
 // endpointNames are the pre-registered route labels, so /metrics shows
 // every endpoint with zero counts before its first request.
@@ -31,7 +30,7 @@ var latencyBounds = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0
 var batchBounds = []float64{1, 2, 4, 8, 16, 32}
 
 // metrics is the process-wide serving telemetry, exported as
-// expvar-style JSON and Prometheus text on /metrics.
+// Prometheus text on /metrics.
 type metrics struct {
 	start time.Time
 	reg   *obs.Registry
@@ -44,11 +43,6 @@ type metrics struct {
 	slow       *obs.Counter // requests over the slow-request threshold
 	batches    *obs.Counter
 	batchSizes *obs.Histogram
-
-	// tier is set by registerStore; nil for memory-only servers. The
-	// JSON snapshot mirrors its counters so the two /metrics renderings
-	// never drift apart.
-	tier *artifactstore.Tier
 }
 
 func newMetrics(cache *analysiscache.Cache, pool *parallel.Pool) *metrics {
@@ -135,7 +129,6 @@ func newMetrics(cache *analysiscache.Cache, pool *parallel.Pool) *metrics {
 // tier is attached (NewWithStore). The store may be nil (snapshot-only
 // tier); its counters then read as constant zero.
 func (m *metrics) registerStore(tier *artifactstore.Tier) {
-	m.tier = tier
 	storeStats := func() artifactstore.Stats {
 		if st := tier.Store(); st != nil {
 			return st.Stats()
@@ -178,117 +171,4 @@ func (m *metrics) recordBatch(size int) {
 // format 0.0.4.
 func (m *metrics) writePrometheus(w io.Writer) error {
 	return m.reg.WritePrometheus(w)
-}
-
-// HistogramSnapshot is the JSON form of a histogram.
-type HistogramSnapshot struct {
-	Count   int64            `json:"count"`
-	Mean    float64          `json:"mean"`
-	Buckets []BucketSnapshot `json:"buckets"`
-}
-
-type BucketSnapshot struct {
-	LE    float64 `json:"le"` // +Inf rendered as -1
-	Count int64   `json:"count"`
-}
-
-// jsonHistogram converts an obs histogram snapshot (cumulative buckets,
-// last = +Inf) to the legacy JSON shape.
-func jsonHistogram(s obs.HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{Count: s.Count}
-	if s.Count > 0 {
-		out.Mean = s.Sum / float64(s.Count)
-	}
-	for i, bound := range s.Bounds {
-		out.Buckets = append(out.Buckets, BucketSnapshot{LE: bound, Count: s.Buckets[i]})
-	}
-	out.Buckets = append(out.Buckets, BucketSnapshot{LE: -1, Count: s.Count}) // -1 = +Inf
-	return out
-}
-
-type EndpointSnapshot struct {
-	Count    int64             `json:"count"`
-	ByStatus map[string]int64  `json:"by_status"`
-	Latency  HistogramSnapshot `json:"latency_seconds"`
-}
-
-// Snapshot is the /metrics JSON document.
-type Snapshot struct {
-	UptimeSeconds float64                     `json:"uptime_seconds"`
-	InFlight      int64                       `json:"in_flight"`
-	Panics        int64                       `json:"panics"`
-	Rejected      int64                       `json:"rejected_draining"`
-	Requests      map[string]EndpointSnapshot `json:"requests"`
-	Batches       int64                       `json:"batches"`
-	BatchSizes    HistogramSnapshot           `json:"batch_sizes"`
-	Cache         CacheSnapshot               `json:"cache"`
-	Store         *StoreSnapshot              `json:"store,omitempty"`
-}
-
-type CacheSnapshot struct {
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Waits     uint64  `json:"waits"`
-	Evictions uint64  `json:"evictions"`
-	DiskHits  uint64  `json:"disk_hits"`
-	Entries   int     `json:"entries"`
-	HitRate   float64 `json:"hit_rate"`
-}
-
-// StoreSnapshot is the JSON form of the persistent artifact tier's
-// counters; present only on store-backed servers. The field names
-// match the cnnperfd_store_* Prometheus families one-for-one.
-type StoreSnapshot struct {
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Puts         uint64 `json:"puts"`
-	Corrupt      uint64 `json:"corrupt"`
-	DecodeErrors uint64 `json:"decode_errors"`
-}
-
-func (m *metrics) snapshot(cs analysiscache.Stats) Snapshot {
-	reqs := make(map[string]EndpointSnapshot, len(endpointNames))
-	for _, ep := range endpointNames {
-		by := make(map[string]int64, len(statusClasses))
-		total := int64(0)
-		for _, class := range statusClasses {
-			n := m.requests.With(ep, class).Value()
-			by[class] = n
-			total += n
-		}
-		reqs[ep] = EndpointSnapshot{
-			Count:    total,
-			ByStatus: by,
-			Latency:  jsonHistogram(m.latency.With(ep).Snapshot()),
-		}
-	}
-	out := Snapshot{
-		UptimeSeconds: time.Since(m.start).Seconds(),
-		InFlight:      int64(m.inFlight.Value()),
-		Panics:        m.panics.Value(),
-		Rejected:      m.rejected.Value(),
-		Requests:      reqs,
-		Batches:       m.batches.Value(),
-		BatchSizes:    jsonHistogram(m.batchSizes.Snapshot()),
-		Cache: CacheSnapshot{
-			Hits:      cs.Hits,
-			Misses:    cs.Misses,
-			Waits:     cs.Waits,
-			Evictions: cs.Evictions,
-			DiskHits:  cs.DiskHits,
-			Entries:   cs.Entries,
-			HitRate:   cs.HitRate(),
-		},
-	}
-	if m.tier != nil {
-		var st artifactstore.Stats
-		if s := m.tier.Store(); s != nil {
-			st = s.Stats()
-		}
-		out.Store = &StoreSnapshot{
-			Hits: st.Hits, Misses: st.Misses, Puts: st.Puts, Corrupt: st.Corrupt,
-			DecodeErrors: m.tier.DecodeErrors(),
-		}
-	}
-	return out
 }

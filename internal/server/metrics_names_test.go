@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestMetricsNamesAndTypes(t *testing.T) {
 		t.Fatalf("predict: status %d: %s", code, body)
 	}
 
-	text := scrapePrometheus(t, ts.URL)
+	text := scrapePrometheus(t, ts.URL, "", "")
 	auditFamilies(t, text, serverFamilies)
 }
 
@@ -121,79 +122,77 @@ func auditFamilies(t *testing.T, text string, families map[string]string) {
 	}
 }
 
-func scrapePrometheus(t *testing.T, baseURL string) string {
+// scrapePrometheus fetches baseURL+"/metrics"+query, with an Accept
+// header when accept is non-empty, and checks the one /metrics
+// contract: status 200, the Prometheus content type, and an exposition
+// that passes ValidatePrometheusText with at least one sample. Stock
+// scrapers send neither a query nor an Accept header.
+func scrapePrometheus(t *testing.T, baseURL, query, accept string) string {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/metrics?format=prometheus")
+	req, err := http.NewRequest(http.MethodGet, baseURL+"/metrics"+query, nil)
 	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, raw := doRequest(t, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("scrape status %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get("Content-Type"); got != obs.PrometheusContentType {
 		t.Errorf("scrape content type %q, want %q", got, obs.PrometheusContentType)
 	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
+	if n, err := obs.ValidatePrometheusText(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("invalid Prometheus exposition: %v\n%s", err, raw)
+	} else if n == 0 {
+		t.Fatal("Prometheus exposition has no samples")
 	}
-	return buf.String()
+	return string(raw)
 }
 
-// TestMetricsJSONMirrorsPrometheus pins the drift fix: the JSON
-// document exposes the same cache and store counters the Prometheus
-// families do — in particular disk_hits and the store section, which
-// used to exist only on the Prometheus side.
-func TestMetricsJSONMirrorsPrometheus(t *testing.T) {
+// promValue returns the sample value of one series, written exactly as
+// the exposition renders it (family name plus label set); the test
+// fails if the series is absent.
+func promValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: bad value %q", series, v)
+			}
+			return f
+		}
+	}
+	t.Fatalf("series %s missing from /metrics", series)
+	return 0
+}
+
+// TestMetricsStoreFamilies checks the artifact-store bridge: a
+// store-backed server exports live cnnperfd_store_* counters (puts
+// move after a predict), while a memory-only server exports no
+// cnnperfd_store_* family at all.
+func TestMetricsStoreFamilies(t *testing.T) {
 	_, ts := newStoreTestServer(t, server.Config{StoreDir: t.TempDir()})
 	gpus := gpu.TrainingGPUs
 	req := fmt.Sprintf(`{"model":"alexnet","gpus":[%q]}`, gpus[0])
 	if code, body := postJSON(t, ts.URL+"/v1/predict", req); code != http.StatusOK {
 		t.Fatalf("predict: status %d: %s", code, body)
 	}
-
-	var doc struct {
-		Cache struct {
-			Hits     *uint64 `json:"hits"`
-			DiskHits *uint64 `json:"disk_hits"`
-		} `json:"cache"`
-		Store *struct {
-			Hits         *uint64 `json:"hits"`
-			Misses       *uint64 `json:"misses"`
-			Puts         *uint64 `json:"puts"`
-			Corrupt      *uint64 `json:"corrupt"`
-			DecodeErrors *uint64 `json:"decode_errors"`
-		} `json:"store"`
-	}
-	if code := getJSON(t, ts.URL+"/metrics", &doc); code != http.StatusOK {
-		t.Fatalf("metrics JSON: status %d", code)
-	}
-	if doc.Cache.DiskHits == nil {
-		t.Error("JSON cache section is missing disk_hits")
-	}
-	if doc.Store == nil {
-		t.Fatal("JSON document is missing the store section on a store-backed server")
-	}
-	for name, field := range map[string]*uint64{
-		"hits": doc.Store.Hits, "misses": doc.Store.Misses, "puts": doc.Store.Puts,
-		"corrupt": doc.Store.Corrupt, "decode_errors": doc.Store.DecodeErrors,
+	text := scrapePrometheus(t, ts.URL, "", "")
+	for _, series := range []string{
+		"cnnperfd_cache_disk_hits_total", "cnnperfd_store_hits_total", "cnnperfd_store_misses_total",
+		"cnnperfd_store_corrupt_total", "cnnperfd_store_decode_errors_total",
 	} {
-		if field == nil {
-			t.Errorf("JSON store section is missing %s", name)
-		}
+		promValue(t, text, series)
 	}
-	if *doc.Store.Puts == 0 {
-		t.Error("store puts is 0 after a store-backed predict; the JSON bridge reads the wrong source")
+	if puts := promValue(t, text, "cnnperfd_store_puts_total"); puts == 0 {
+		t.Error("cnnperfd_store_puts_total is 0 after a store-backed predict; the bridge reads the wrong source")
 	}
 
-	// A memory-only server must not grow a store section.
 	_, tsMem := newTestServer(t, server.Config{})
-	var memDoc map[string]any
-	if code := getJSON(t, tsMem.URL+"/metrics", &memDoc); code != http.StatusOK {
-		t.Fatalf("memory-only metrics JSON: status %d", code)
-	}
-	if _, has := memDoc["store"]; has {
-		t.Error("memory-only server exports a store section")
+	if memText := scrapePrometheus(t, tsMem.URL, "", ""); strings.Contains(memText, "cnnperfd_store_") {
+		t.Error("memory-only server exports cnnperfd_store_* families")
 	}
 }

@@ -115,67 +115,30 @@ func TestRequestIDMiddleware(t *testing.T) {
 	})
 }
 
-// TestMetricsContentNegotiation checks that /metrics keeps serving the
-// legacy JSON document by default while Accept: text/plain (or the
-// ?format=prometheus override) switches to Prometheus text exposition
-// that passes the in-tree validator.
+// TestMetricsContentNegotiation pins that /metrics no longer
+// negotiates: a plain scrape, an Accept header, the ?format=prometheus
+// override existing scrapers send, and the retired ?format=json all get
+// the same valid Prometheus text exposition.
 func TestMetricsContentNegotiation(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-
-	// Default stays JSON so existing scrapers keep working.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-	resp, raw := doRequest(t, req)
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("default /metrics Content-Type = %q, want application/json", ct)
-	}
-	if !json.Valid(raw) {
-		t.Fatalf("default /metrics is not valid JSON:\n%s", raw)
-	}
-
-	for name, mk := range map[string]func() *http.Request{
-		"accept header": func() *http.Request {
-			r, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-			r.Header.Set("Accept", "text/plain")
-			return r
-		},
-		"format override": func() *http.Request {
-			r, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics?format=prometheus", nil)
-			return r
-		},
+	for _, tc := range []struct{ name, query, accept string }{
+		{"plain", "", ""},
+		{"accept header", "", "text/plain"},
+		{"format override", "?format=prometheus", ""},
+		{"retired json format", "?format=json", "application/json"},
 	} {
-		t.Run(name, func(t *testing.T) {
-			resp, raw := doRequest(t, mk())
-			if ct := resp.Header.Get("Content-Type"); ct != obs.PrometheusContentType {
-				t.Fatalf("Content-Type = %q, want %q", ct, obs.PrometheusContentType)
-			}
-			n, err := obs.ValidatePrometheusText(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatalf("invalid Prometheus exposition: %v\n%s", err, raw)
-			}
-			if n == 0 {
-				t.Fatal("Prometheus exposition has no samples")
-			}
+		t.Run(tc.name, func(t *testing.T) {
+			text := scrapePrometheus(t, ts.URL, tc.query, tc.accept)
 			for _, want := range []string{
 				"cnnperfd_requests_total", "cnnperfd_request_duration_seconds_bucket",
 				"cnnperfd_cache_hits_total", "cnnperfd_pool_workers", "cnnperfd_uptime_seconds",
 				"cnnperfd_absint_iterations",
 			} {
-				if !strings.Contains(string(raw), want) {
+				if !strings.Contains(text, want) {
 					t.Errorf("exposition missing %s", want)
 				}
 			}
 		})
-	}
-
-	// ?format=json wins over the Accept header.
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/metrics?format=json", nil)
-	req.Header.Set("Accept", "text/plain")
-	resp, raw = doRequest(t, req)
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("?format=json Content-Type = %q, want application/json", ct)
-	}
-	if !json.Valid(raw) {
-		t.Fatalf("?format=json body is not valid JSON:\n%s", raw)
 	}
 }
 

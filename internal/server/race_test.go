@@ -117,12 +117,8 @@ func TestConcurrentPredictHammer(t *testing.T) {
 		t.Fatal("no error envelopes in the hammer run")
 	}
 
-	var snap server.Snapshot
-	if code := getJSON(t, ts.URL+"/metrics", &snap); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
-	}
-	if snap.Panics != 0 {
-		t.Fatalf("handlers panicked %d times", snap.Panics)
+	if n := promValue(t, scrapePrometheus(t, ts.URL, "", ""), "cnnperfd_panics_total"); n != 0 {
+		t.Fatalf("handlers panicked %v times", n)
 	}
 	// Cache invariants: the distinct successful units were computed at
 	// least once each (misses > 0), repeats were shared (hits > 0), and
@@ -183,15 +179,14 @@ func TestBatchCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snap server.Snapshot
-	if code := getJSON(t, ts.URL+"/metrics", &snap); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
+	text := scrapePrometheus(t, ts.URL, "", "")
+	if batches := promValue(t, text, "cnnperfd_batches_total"); batches >= n {
+		t.Errorf("burst of %d concurrent identical requests ran %v batches; expected coalescing", n, batches)
 	}
-	if snap.Batches >= n {
-		t.Errorf("burst of %d concurrent identical requests ran %d batches; expected coalescing", n, snap.Batches)
-	}
-	if snap.BatchSizes.Count == 0 || snap.BatchSizes.Mean <= 1 {
-		t.Errorf("batch size histogram shows no coalescing: %+v", snap.BatchSizes)
+	count := promValue(t, text, "cnnperfd_batch_size_count")
+	sum := promValue(t, text, "cnnperfd_batch_size_sum")
+	if count == 0 || sum/count <= 1 {
+		t.Errorf("batch size histogram shows no coalescing: count %v, sum %v", count, sum)
 	}
 }
 
@@ -221,9 +216,8 @@ func TestGracefulShutdown(t *testing.T) {
 	// Wait until the request is actually in flight.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var snap server.Snapshot
-		getJSON(t, ts.URL+"/metrics", &snap)
-		if snap.InFlight >= 1 {
+		// The scrape counts itself, so the predict makes it two.
+		if promValue(t, scrapePrometheus(t, ts.URL, "", ""), "cnnperfd_in_flight_requests") >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {

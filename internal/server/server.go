@@ -227,10 +227,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // same lock-free snapshot /metrics serves).
 func (s *Server) CacheStats() analysiscache.Stats { return s.cache.Stats() }
 
-// MetricsSnapshot returns the same telemetry document /metrics serves,
-// for in-process callers (tests, embedding programs).
-func (s *Server) MetricsSnapshot() Snapshot { return s.metrics.snapshot(s.cache.Stats()) }
-
 // ListenAndServe serves until ctx is cancelled, then drains: new
 // requests get 503 while in-flight ones finish (bounded by the request
 // timeout plus a grace second), and the listener shuts down cleanly.

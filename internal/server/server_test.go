@@ -321,28 +321,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	postJSON(t, ts.URL+"/v1/predict", `{"bad json`)
 
-	var snap server.Snapshot
-	if code := getJSON(t, ts.URL+"/metrics", &snap); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
+	text := scrapePrometheus(t, ts.URL, "", "")
+	for series, want := range map[string]float64{
+		`cnnperfd_requests_total{endpoint="predict",code="2xx"}`:      1,
+		`cnnperfd_requests_total{endpoint="predict",code="4xx"}`:      1,
+		`cnnperfd_requests_total{endpoint="predict",code="5xx"}`:      0,
+		`cnnperfd_request_duration_seconds_count{endpoint="predict"}`: 2,
+		"cnnperfd_panics_total":                                       0,
+	} {
+		if got := promValue(t, text, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
-	pr := snap.Requests["predict"]
-	if pr.Count != 2 || pr.ByStatus["2xx"] != 1 || pr.ByStatus["4xx"] != 1 {
-		t.Errorf("predict counters off: %+v", pr)
-	}
-	if pr.Latency.Count != 2 {
-		t.Errorf("latency histogram count %d, want 2", pr.Latency.Count)
-	}
-	if snap.Cache.Misses == 0 {
-		t.Errorf("cache misses = 0 after a cold prediction: %+v", snap.Cache)
-	}
-	if snap.Batches == 0 {
-		t.Errorf("no batches recorded: %+v", snap)
-	}
-	if snap.Panics != 0 {
-		t.Errorf("panics = %d, want 0", snap.Panics)
-	}
-	if snap.UptimeSeconds <= 0 {
-		t.Errorf("uptime %v, want > 0", snap.UptimeSeconds)
+	for _, series := range []string{"cnnperfd_cache_misses_total", "cnnperfd_batches_total", "cnnperfd_uptime_seconds"} {
+		if got := promValue(t, text, series); got <= 0 {
+			t.Errorf("%s = %v, want > 0", series, got)
+		}
 	}
 }
 
