@@ -50,7 +50,7 @@ func main() {
 	cacheSize := flag.Int("cache-size", 0, "analysis cache capacity in entries (0 = unbounded)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline")
 	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long to coalesce concurrent predictions into one batch")
+	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long to coalesce concurrent cache-missing predictions into one batch (memoized predicts answer at once)")
 	maxBatch := flag.Int("max-batch", 16, "maximum requests coalesced into one analysis batch")
 	logLevel := flag.String("log-level", "info", "log threshold: debug, info, warn or error")
 	slowReq := flag.Duration("slow-request", 10*time.Second, "log completed requests slower than this at warn level (0 disables)")

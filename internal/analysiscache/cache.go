@@ -105,7 +105,8 @@ func New(capacity int) *Cache {
 }
 
 // SetSecondTier installs (or, with nil, removes) the persistent tier.
-// Only GetOrCompute consults it: Get stays a memory-only probe.
+// Only GetOrCompute consults it: Get and Resident stay memory-only
+// probes.
 func (c *Cache) SetSecondTier(t SecondTier) {
 	if t == nil {
 		c.second.Store(nil)
@@ -116,15 +117,27 @@ func (c *Cache) SetSecondTier(t SecondTier) {
 
 // Get returns the cached value for key, counting a hit or miss.
 func (c *Cache) Get(key string) (any, bool) {
+	v, ok := c.Resident(key)
+	if !ok {
+		c.misses.Add(1)
+	}
+	return v, ok
+}
+
+// Resident returns the value resident in memory under key, counting a
+// hit and refreshing its LRU position. An absent key counts nothing, so
+// a caller that falls back to GetOrCompute on the same key records its
+// miss exactly once. The second tier is never probed.
+func (c *Cache) Resident(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.hits.Add(1)
-		c.lru.MoveToFront(el)
-		return el.Value.(*entry).val, true
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
 	}
-	c.misses.Add(1)
-	return nil, false
+	c.hits.Add(1)
+	c.lru.MoveToFront(el)
+	return el.Value.(*entry).val, true
 }
 
 // Put stores a value under key, evicting the least-recently-used entry

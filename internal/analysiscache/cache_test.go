@@ -32,6 +32,23 @@ func TestGetPutCounters(t *testing.T) {
 	if s.String() != want {
 		t.Fatalf("String() = %q, want %q", s.String(), want)
 	}
+
+	// Resident on a resident key counts one hit and refreshes the LRU
+	// position; on an absent key it counts nothing at all.
+	c.Put("b", 3) // b is now the most recently used
+	if v, ok := c.Resident("a"); !ok || v.(int) != 2 {
+		t.Fatalf("Resident(a) = %v, %t; want 2, true", v, ok)
+	}
+	if front := c.lru.Front().Value.(*entry).key; front != "a" {
+		t.Fatalf("LRU front after Resident(a) = %q, want a", front)
+	}
+	if v, ok := c.Resident("z"); ok {
+		t.Fatalf("Resident(z) = %v on an absent key", v)
+	}
+	s = c.Stats()
+	if s.Hits != 3 || s.Misses != 1 || s.Entries != 2 {
+		t.Fatalf("stats after Resident = %+v; want hits=3 misses=1 entries=2", s)
+	}
 }
 
 func TestLRUEviction(t *testing.T) {

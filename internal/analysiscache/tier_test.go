@@ -303,6 +303,34 @@ func TestSecondTierHammer(t *testing.T) {
 	}
 }
 
+// probeFailTier is a SecondTier that fails the test whenever it is read.
+type probeFailTier struct{ t *testing.T }
+
+func (p probeFailTier) Get(key string) (any, bool) {
+	p.t.Errorf("Resident probed the second tier for %q", key)
+	return nil, false
+}
+
+func (probeFailTier) Put(string, any) {}
+
+// TestResidentSkipsSecondTier pins Resident as a memory-only probe: with
+// a second tier installed, neither an absent nor a resident key reaches
+// it, and only the resident key counts (as a hit).
+func TestResidentSkipsSecondTier(t *testing.T) {
+	c := New(0)
+	c.SetSecondTier(probeFailTier{t})
+	if v, ok := c.Resident("absent"); ok {
+		t.Fatalf("Resident(absent) = %v, true", v)
+	}
+	c.Put("k", 1)
+	if v, ok := c.Resident("k"); !ok || v != 1 {
+		t.Fatalf("Resident(k) = %v, %t; want 1, true", v, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 || st.DiskHits != 0 {
+		t.Fatalf("stats = %+v; want one hit, no miss, no disk hit", st)
+	}
+}
+
 func key(i int) string {
 	return string(rune('a'+i)) + "-key"
 }

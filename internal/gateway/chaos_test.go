@@ -150,25 +150,29 @@ func TestGatewayHungBackend(t *testing.T) {
 }
 
 // TestGatewaySlowBackend checks that slowness under the deadline is
-// not a failure: one attempt, correct answer, no retries.
+// not a failure: one attempt, correct answer, no retries. That holds
+// whether the backend is slow to answer at all ("slow") or sends its
+// headers at once and its body after a pause ("slowbody").
 func TestGatewaySlowBackend(t *testing.T) {
 	stubs := []*stub{newStub("b0"), newStub("b1")}
 	gw, ts := newChaosGateway(t, stubs, nil)
 
 	slow := stubs[0]
 	body := bodyOwnedBy(t, gw, slow.url())
-	slow.mode.Store("slow")
 	slow.slowFor.Store(int64(80 * time.Millisecond))
 
-	code, raw, resp := postBody(t, ts.URL, "/v1/predict", body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, raw)
-	}
-	if got := resp.Header.Get("X-Gateway-Attempts"); got != "1" {
-		t.Errorf("X-Gateway-Attempts = %q, want 1 (slow is not broken)", got)
-	}
-	if got := resp.Header.Get("X-Gateway-Backend"); got != slow.url() {
-		t.Errorf("served by %s, want the slow owner %s", got, slow.url())
+	for _, mode := range []string{"slow", "slowbody"} {
+		slow.mode.Store(mode)
+		code, raw, resp := postBody(t, ts.URL, "/v1/predict", body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", mode, code, raw)
+		}
+		if got := resp.Header.Get("X-Gateway-Attempts"); got != "1" {
+			t.Errorf("%s: X-Gateway-Attempts = %q, want 1 (slow is not broken)", mode, got)
+		}
+		if got := resp.Header.Get("X-Gateway-Backend"); got != slow.url() {
+			t.Errorf("%s: served by %s, want the slow owner %s", mode, got, slow.url())
+		}
 	}
 }
 

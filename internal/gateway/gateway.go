@@ -466,16 +466,18 @@ func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	writeError(ctx, w, http.StatusServiceUnavailable, "no_backends", msg)
 }
 
-// attempt issues one proxied request to one backend.
+// attempt issues one proxied request to one backend. The caller reads
+// the response body after attempt returns, so the per-attempt context
+// stays live until the body is closed.
 func (g *Gateway) attempt(ctx context.Context, backend string, r *http.Request, body []byte) (*http.Response, error) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
-	defer cancel()
 	u := backend + r.URL.Path
 	if r.URL.RawQuery != "" {
 		u += "?" + r.URL.RawQuery
 	}
 	req, err := http.NewRequestWithContext(ctx, r.Method, u, bytes.NewReader(body))
 	if err != nil {
+		cancel()
 		return nil, err
 	}
 	copyProxyHeaders(req.Header, r.Header)
@@ -489,11 +491,25 @@ func (g *Gateway) attempt(ctx context.Context, backend string, r *http.Request, 
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
-		// The per-attempt context is released when this function
-		// returns; surface the cause, not the wrapper.
+		cancel()
 		return nil, fmt.Errorf("proxy %s: %w", backend, err)
 	}
+	resp.Body = cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
 	return resp, nil
+}
+
+// cancelOnClose releases a per-attempt context when its response body
+// is closed. Cancelling any earlier fails a body that has not fully
+// arrived with "context canceled".
+type cancelOnClose struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (b cancelOnClose) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
 }
 
 // proxyHeaderAllowlist are the request headers forwarded to backends.

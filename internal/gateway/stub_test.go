@@ -37,8 +37,8 @@ type stub struct {
 	name string
 	ts   *httptest.Server
 
-	mode      atomic.Value // "ok" | "slow" | "hang" | "drain503" | "badreq"
-	slowFor   atomic.Int64 // nanoseconds, for "slow"
+	mode      atomic.Value // "ok" | "slow" | "slowbody" | "hang" | "drain503" | "badreq"
+	slowFor   atomic.Int64 // nanoseconds, for "slow" and "slowbody"
 	healthyOK atomic.Bool  // /healthz answers 200 when true
 
 	requests atomic.Int64 // proxied API requests served (not probes)
@@ -95,6 +95,11 @@ func (s *stub) handle(w http.ResponseWriter, r *http.Request) {
 	sum := sha256.Sum256(body)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
+	if s.mode.Load().(string) == "slowbody" {
+		// The headers go out at once; the body follows after a pause.
+		w.(http.Flusher).Flush()
+		time.Sleep(time.Duration(s.slowFor.Load()))
+	}
 	fmt.Fprintf(w, `{"ok":true,"backend":%q,"payload":%q}`, s.name, hex.EncodeToString(sum[:8]))
 }
 

@@ -72,13 +72,29 @@ type unitResult struct {
 	err error
 }
 
+// memoKey is the cache key a unit's whole result is memoized under.
+func (u predictUnit) memoKey() string {
+	return "srv\x00unit\x00" + u.key
+}
+
+// memoized returns the unit's result if it is resident in the cache,
+// without entering the batcher. Only successful results are ever
+// memoized, so a failing unit always misses here.
+func (s *Server) memoized(u predictUnit) (unitResult, bool) {
+	v, ok := s.cache.Resident(u.memoKey())
+	if !ok {
+		return unitResult{}, false
+	}
+	return v.(unitResult), true
+}
+
 // runUnit computes one unit, memoized whole in the process-wide cache:
 // repeated identical requests reuse the exact same analysis and
 // estimator objects, which is what makes repeated responses
 // byte-identical. Concurrent misses on one key share a single
 // computation (the cache's singleflight).
 func (s *Server) runUnit(ctx context.Context, u predictUnit) unitResult {
-	v, _, err := s.cache.GetOrCompute("srv\x00unit\x00"+u.key, func() (any, error) {
+	v, _, err := s.cache.GetOrCompute(u.memoKey(), func() (any, error) {
 		res := s.computeUnit(ctx, u)
 		if res.err != nil {
 			return nil, res.err

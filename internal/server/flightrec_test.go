@@ -97,7 +97,14 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	if err := json.Unmarshal(dump, &doc); err != nil {
 		t.Fatal(err)
 	}
+	warmBatches := 0
 	for _, ev := range doc.TraceEvents {
+		if ev.Name == "srv.batch" {
+			warmBatches++
+			if ev.Args["memo_hit"] != true {
+				t.Errorf("warm srv.batch memo_hit arg %v, want true", ev.Args["memo_hit"])
+			}
+		}
 		if ev.Name == "srv.predict" {
 			if ev.Args["trace_id"] != "11111111111111111111111111111111" {
 				t.Errorf("root trace_id arg %v", ev.Args["trace_id"])
@@ -111,12 +118,31 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 		}
 	}
 
+	if warmBatches != 1 {
+		t.Errorf("warm trace has %d srv.batch events, want 1", warmBatches)
+	}
+
 	// The unfiltered dump (both traces) validates too; a foreign trace
 	// ID yields a valid-but-span-free document.
 	areq, _ := http.NewRequest(http.MethodGet, ts.URL+"/debug/flightrecorder", nil)
 	_, all := doRequest(t, areq)
 	if _, err := obs.ValidateChromeTrace(all); err != nil {
 		t.Fatalf("unfiltered dump invalid: %v", err)
+	}
+	// Besides the warm request's memo hit, the dump holds the warm-up's
+	// srv.batch, which missed the memo and ran the batch.
+	doc.TraceEvents = nil
+	if err := json.Unmarshal(all, &doc); err != nil {
+		t.Fatal(err)
+	}
+	memoHits := map[any]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "srv.batch" {
+			memoHits[ev.Args["memo_hit"]]++
+		}
+	}
+	if memoHits[true] != 1 || memoHits[false] != 1 || len(memoHits) != 2 {
+		t.Errorf("srv.batch memo_hit args across both traces %v, want one true and one false", memoHits)
 	}
 	oreq, _ := http.NewRequest(http.MethodGet,
 		ts.URL+"/debug/flightrecorder?trace=ffffffffffffffffffffffffffffffff", nil)

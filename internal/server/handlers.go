@@ -185,8 +185,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			BlockX:          req.BlockX,
 		})
 	}
+	// A memoized unit is answered at once; only a miss waits out the
+	// batch window. The srv.batch span covers both paths.
 	bctx, bspan := obs.Start(ctx, "srv.batch")
-	res, err := s.batcher.submit(bctx, unit)
+	res, hit := s.memoized(unit)
+	var err error
+	if !hit {
+		res, err = s.batcher.submit(bctx, unit)
+	}
+	bspan.SetAttr(obs.Bool("memo_hit", hit))
 	bspan.End()
 	if err != nil {
 		writeCtxError(ctx, w, err)

@@ -65,7 +65,7 @@ func newMetrics(cache *analysiscache.Cache, pool *parallel.Pool) *metrics {
 		batches: reg.Counter("cnnperfd_batches_total",
 			"Coalesced analysis batches executed."),
 		batchSizes: reg.Histogram("cnnperfd_batch_size",
-			"Number of deduplicated analysis units per batch.", batchBounds),
+			"Number of coalesced predict requests per batch, counted before deduplication.", batchBounds),
 	}
 	// Pre-register every endpoint series so zero counts are visible.
 	for _, ep := range endpointNames {
@@ -162,6 +162,9 @@ func (m *metrics) record(endpoint string, status int, d time.Duration) {
 	m.latency.With(endpoint).Observe(d.Seconds())
 }
 
+// recordBatch counts one executed batch of size coalesced requests.
+// The size is taken before the batch deduplicates by unit key, so a
+// burst of identical requests records its full request count.
 func (m *metrics) recordBatch(size int) {
 	m.batches.Inc()
 	m.batchSizes.Observe(float64(size))

@@ -48,7 +48,9 @@ type Config struct {
 	// MaxBodyBytes bounds the request body (default 1 MiB).
 	MaxBodyBytes int64
 	// BatchWindow is how long the batcher waits to coalesce concurrent
-	// predictions into one analysis batch (default 2ms).
+	// predictions into one analysis batch (default 2ms). It applies to
+	// cache misses only: a predict whose unit is already memoized is
+	// answered without entering the batcher.
 	BatchWindow time.Duration
 	// MaxBatch bounds the number of requests coalesced into one batch
 	// (default 16).

@@ -181,6 +181,69 @@ func TestPredictSecondRequestHitsCache(t *testing.T) {
 	}
 }
 
+// TestMemoizedPredictSkipsBatchWindow holds the batch window open far
+// longer than a memo lookup takes. A repeat of a memoized predict must
+// come back byte-identical well inside the window without running a
+// batch. A payload the lint gate rejects is never memoized, so each of
+// its repeats runs a batch and gets the same 422 envelope.
+func TestMemoizedPredictSkipsBatchWindow(t *testing.T) {
+	const window = 500 * time.Millisecond
+	_, ts := newTestServer(t, server.Config{BatchWindow: window})
+	batches := func() float64 {
+		t.Helper()
+		return promValue(t, scrapePrometheus(t, ts.URL, "", ""), "cnnperfd_batches_total")
+	}
+
+	body := `{"model":"alexnet","gpus":["gtx1080ti"]}`
+	code, first := postJSON(t, ts.URL+"/v1/predict", body)
+	if code != http.StatusOK {
+		t.Fatalf("first predict: status %d: %s", code, first)
+	}
+	before := batches()
+	start := time.Now()
+	code, second := postJSON(t, ts.URL+"/v1/predict", body)
+	elapsed := time.Since(start)
+	if code != http.StatusOK {
+		t.Fatalf("repeat predict: status %d: %s", code, second)
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("memoized response differs:\n%s\nvs\n%s", first, second)
+	}
+	if elapsed >= window/2 {
+		t.Errorf("memoized predict took %v; want well under the %v batch window", elapsed, window)
+	}
+	if after := batches(); after != before {
+		t.Errorf("memoized predict ran a batch: cnnperfd_batches_total %v -> %v", before, after)
+	}
+
+	// A kernel reading an undefined register fails the lint gate.
+	bad := ".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k(\n.param .u64 p0\n)\n{\nadd.s32 %r1, %r2, 1;\nret;\n}\n"
+	badBody := `{"ptx":` + mustQuote(bad) + `,"gpus":["gtx1080ti"]}`
+	var envelopes [2][]byte
+	for i := range envelopes {
+		before := batches()
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict", strings.NewReader(badBody))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Request-ID", "memo-reject") // same id, so the bodies can match
+		resp, raw := doRequest(t, req)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("rejected payload %d: status %d, want 422: %s", i, resp.StatusCode, raw)
+		}
+		var env server.ErrorEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != "analysis_failed" ||
+			!strings.Contains(env.Error.Message, "rejected by static analysis") {
+			t.Fatalf("rejected payload %d: envelope %v %s", i, err, raw)
+		}
+		if after := batches(); after != before+1 {
+			t.Errorf("rejected payload %d ran %v batches, want 1", i, after-before)
+		}
+		envelopes[i] = raw
+	}
+	if !bytes.Equal(envelopes[0], envelopes[1]) {
+		t.Errorf("repeated rejection differs:\n%s\nvs\n%s", envelopes[0], envelopes[1])
+	}
+}
+
 const testPTX = `.version 6.0
 .target sm_61
 .address_size 64
