@@ -50,8 +50,6 @@ func main() {
 	cacheSize := flag.Int("cache-size", 0, "analysis cache capacity in entries (0 = unbounded)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline")
 	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long to coalesce concurrent cache-missing predictions into one batch (memoized predicts answer at once)")
-	maxBatch := flag.Int("max-batch", 16, "maximum requests coalesced into one analysis batch")
 	logLevel := flag.String("log-level", "info", "log threshold: debug, info, warn or error")
 	slowReq := flag.Duration("slow-request", 10*time.Second, "log completed requests slower than this at warn level (0 disables)")
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (timeout-exempt)")
@@ -118,8 +116,6 @@ func main() {
 		CacheSize:    *cacheSize,
 		Timeout:      *timeout,
 		MaxBodyBytes: *maxBody,
-		BatchWindow:  *batchWindow,
-		MaxBatch:     *maxBatch,
 		Logger:       logger,
 		SlowRequest:  *slowReq,
 		EnablePprof:  *enablePprof,

@@ -136,7 +136,8 @@ func (o PTXOptions) name() string {
 	return o.Name
 }
 
-func (o PTXOptions) grid() (gridX, blockX int) {
+// Grid returns the synthetic launch shape with the defaults applied.
+func (o PTXOptions) Grid() (gridX, blockX int) {
 	gridX, blockX = o.GridX, o.BlockX
 	if gridX <= 0 {
 		gridX = 2
@@ -169,7 +170,7 @@ func AnalyzePTXContext(ctx context.Context, src string, opt PTXOptions, cfg Conf
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	gridX, blockX := opt.grid()
+	gridX, blockX := opt.Grid()
 	launches := make([]ptxgen.Launch, 0, len(m.Kernels))
 	for _, k := range m.Kernels {
 		params := make(map[string]int64, len(k.Params))

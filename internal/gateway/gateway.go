@@ -324,7 +324,7 @@ func (g *Gateway) middleware(next http.Handler) http.Handler {
 }
 
 // RoutingKey computes the consistent-hash key for a request body on
-// path: the server's own batching dedupe content key when the body
+// path: the server's own memo content key when the body
 // parses as one, a content hash of the raw bytes otherwise (malformed
 // payloads still route deterministically, and the owning backend
 // produces the error envelope — the gateway never duplicates

@@ -1,7 +1,7 @@
 // Package gateway implements the sharded multi-replica front end for
 // cnnperfd: a consistent-hash router that spreads /v1/predict and
 // /v1/lint traffic across N backend replicas by the same content key
-// the server's batcher dedupes on, so every distinct unit of analysis
+// the server memoizes analyses under, so every distinct unit of analysis
 // work has exactly one home replica (and therefore one warm cache
 // entry fleet-wide instead of N).
 //

@@ -94,7 +94,7 @@ type placedSpan struct {
 // concurrent children visually side by side instead of garbled.
 //
 // parentEnd bounds reuse of the parent's lane: a child that outlives
-// its parent (an abandoned request whose batched work continues) must
+// its parent (an abandoned request whose detached work continues) must
 // not share the parent's lane or the events would partially overlap,
 // so it opens a fresh lane instead. Zero means unbounded.
 func assignLanes(siblings []*Span, lanes *laneAllocator, parentTID int, parentEnd time.Time) []placedSpan {

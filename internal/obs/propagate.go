@@ -161,8 +161,8 @@ func Traceparent(ctx context.Context) string {
 
 // Transplant copies the observability identity of src — tracer,
 // current span, request ID — onto dst, which supplies cancellation and
-// deadlines. The batching executor uses it to graft spans for work it
-// performs on behalf of a request onto that request's trace without
+// deadlines. The server uses it to graft spans for analysis it runs
+// detached on behalf of a request onto that request's trace without
 // inheriting the request's cancellation.
 func Transplant(dst, src context.Context) context.Context {
 	if t, ok := src.Value(tracerKey).(*Tracer); ok {

@@ -19,9 +19,9 @@ import (
 //
 // A tracer can be pooled: Reset returns every recorded span to an
 // internal freelist so the flight recorder's steady state allocates
-// nothing, and Acquire/Release let detached work (the batching
-// executor) pin a tracer against recycling while it still writes
-// spans into it.
+// nothing, and Acquire/Release let detached work (the server's
+// cache-miss analyses) pin a tracer against recycling while it still
+// writes spans into it.
 type Tracer struct {
 	mu    sync.Mutex
 	epoch time.Time

@@ -11,8 +11,8 @@ import (
 // started once and shared by every caller for the life of the process.
 // Where ForEach spawns workers per call, a Pool bounds the *total*
 // analysis parallelism across concurrent callers — the serving daemon
-// runs one process-wide Pool so a burst of overlapping request batches
-// cannot multiply into unbounded goroutines.
+// runs one process-wide Pool so a burst of overlapping requests cannot
+// multiply into unbounded analysis goroutines.
 type Pool struct {
 	tasks chan func()
 	quit  chan struct{}
@@ -57,10 +57,7 @@ func NewPool(workers int) *Pool {
 				case <-p.quit:
 					return
 				case fn := <-p.tasks:
-					p.active.Add(1)
 					fn()
-					p.active.Add(-1)
-					p.completed.Add(1)
 				}
 			}
 		}()
@@ -108,7 +105,14 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, 
 	for i := 0; i < n; i++ {
 		i := i
 		task := func() {
-			defer wg.Done()
+			p.active.Add(1)
+			// Count the task before releasing the caller, so a caller
+			// that has returned sees its own tasks in Stats.
+			defer func() {
+				p.active.Add(-1)
+				p.completed.Add(1)
+				wg.Done()
+			}()
 			if ctx.Err() != nil {
 				return
 			}

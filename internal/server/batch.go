@@ -5,8 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
-	"time"
 
 	"cnnperf/internal/core"
 	"cnnperf/internal/obs"
@@ -17,7 +15,7 @@ import (
 // plus the estimator that scores it. Requests naming the same unit
 // share one computation.
 type predictUnit struct {
-	// key content-addresses the unit for coalescing and caching.
+	// key content-addresses the unit for memoization and routing.
 	key string
 	// model is the zoo model name; empty for raw-PTX units.
 	model string
@@ -31,14 +29,17 @@ func modelUnit(name string) predictUnit {
 }
 
 func ptxUnit(src string, opts core.PTXOptions) predictUnit {
+	// Key the launch shape the analysis runs, so an omitted grid and its
+	// explicit default name one unit.
+	opts.GridX, opts.BlockX = opts.Grid()
 	sum := sha256.Sum256([]byte(src))
 	key := fmt.Sprintf("ptx\x00%s\x00%d\x00%d\x00%d", hex.EncodeToString(sum[:]),
 		opts.TrainableParams, opts.GridX, opts.BlockX)
 	return predictUnit{key: key, src: src, ptxOpts: opts}
 }
 
-// ContentKey returns the batching dedupe key of a predict request: the
-// exact key the server coalesces and caches analyses under. The
+// ContentKey returns the content key of a predict request: the exact
+// key the server memoizes and coalesces analyses under. The
 // gateway consistent-hashes on it, so every request for one unit of
 // work lands on the replica that already holds (or is computing) that
 // unit. Requests that fail validation still get a stable key.
@@ -54,7 +55,7 @@ func (r PredictRequest) ContentKey() string {
 }
 
 // ContentKey returns the routing key of a lint request. Lint work is
-// not batched, but keying by the same content identity gives lint
+// not memoized, but keying by the same content identity gives lint
 // requests the same replica affinity (and therefore the same warm
 // parse/compile caches) as predictions for the same payload.
 func (r LintRequest) ContentKey() string {
@@ -78,8 +79,8 @@ func (u predictUnit) memoKey() string {
 }
 
 // memoized returns the unit's result if it is resident in the cache,
-// without entering the batcher. Only successful results are ever
-// memoized, so a failing unit always misses here.
+// without taking a worker. Only successful results are ever memoized,
+// so a failing unit always misses here.
 func (s *Server) memoized(u predictUnit) (unitResult, bool) {
 	v, ok := s.cache.Resident(u.memoKey())
 	if !ok {
@@ -88,16 +89,47 @@ func (s *Server) memoized(u predictUnit) (unitResult, bool) {
 	return v.(unitResult), true
 }
 
+// runDetached runs a unit that missed the memo under the server context
+// plus the request timeout. A client that leaves or hits its own
+// deadline is answered at once, but cannot cancel work a singleflight
+// follower or the cache still wants. The request's observability
+// identity is transplanted so analysis spans land on its trace, and its
+// tracer stays pinned until the work ends, so the flight recorder never
+// recycles a tracer that is still written into.
+func (s *Server) runDetached(ctx context.Context, u predictUnit) (unitResult, error) {
+	t := obs.TracerFrom(ctx)
+	t.Acquire()
+	done := make(chan unitResult, 1) // buffered: the worker never blocks
+	go func() {
+		defer t.Release()
+		uctx, cancel := context.WithTimeout(obs.Transplant(s.baseCtx, ctx), s.cfg.Timeout)
+		defer cancel()
+		done <- s.runUnit(uctx, u)
+	}()
+	select {
+	case res := <-done:
+		return res, nil
+	case <-ctx.Done():
+		return unitResult{}, ctx.Err()
+	}
+}
+
 // runUnit computes one unit, memoized whole in the process-wide cache:
 // repeated identical requests reuse the exact same analysis and
 // estimator objects, which is what makes repeated responses
 // byte-identical. Concurrent misses on one key share a single
-// computation (the cache's singleflight).
+// computation (the cache's singleflight). Only that computation takes a
+// slot of the shared pool, so followers wait without holding a worker
+// and distinct analyses stay bounded by the pool size.
 func (s *Server) runUnit(ctx context.Context, u predictUnit) unitResult {
 	v, _, err := s.cache.GetOrCompute(u.memoKey(), func() (any, error) {
-		res := s.computeUnit(ctx, u)
-		if res.err != nil {
-			return nil, res.err
+		var res unitResult
+		err := s.pool.ForEach(ctx, 1, func(ctx context.Context, _ int) error {
+			res = s.computeUnit(ctx, u)
+			return res.err
+		})
+		if err != nil {
+			return nil, err
 		}
 		return res, nil
 	})
@@ -134,168 +166,4 @@ func (s *Server) computeUnit(ctx context.Context, u predictUnit) unitResult {
 		return unitResult{err: err}
 	}
 	return unitResult{est: ev.(*core.Estimator), a: a}
-}
-
-// batcher coalesces concurrent predictions into bounded analysis
-// batches: the first job in an empty batch opens a short window, and
-// the batch executes when the window lapses or MaxBatch jobs have
-// joined. One batch deduplicates jobs by unit key and fans the
-// distinct units out over the server's shared worker pool, so a burst
-// of identical requests costs one analysis and a mixed burst is
-// bounded by the pool size, not the request count.
-type batcher struct {
-	s      *Server
-	window time.Duration
-	max    int
-
-	mu      sync.Mutex
-	pending []*predictJob
-	timer   *time.Timer
-	closed  bool
-}
-
-type predictJob struct {
-	unit predictUnit
-	done chan unitResult // buffered(1); the batch goroutine never blocks
-
-	// obsCtx carries the submitting request's observability identity
-	// (tracer, span, request id). The batch transplants it onto its own
-	// context so analysis spans land on the request's trace even though
-	// the work runs detached under the server context. tracer is pinned
-	// (Acquire) until the job is delivered, so the flight recorder never
-	// recycles a tracer the batch still writes into.
-	obsCtx context.Context
-	tracer *obs.Tracer
-}
-
-// release unpins the job's tracer once the batch is done with it.
-func (j *predictJob) release() {
-	if j.tracer != nil {
-		j.tracer.Release()
-		j.tracer = nil
-	}
-	j.obsCtx = nil
-}
-
-func newBatcher(s *Server, window time.Duration, max int) *batcher {
-	return &batcher{s: s, window: window, max: max}
-}
-
-// submit enqueues a unit and waits for its result (or ctx).
-func (b *batcher) submit(ctx context.Context, u predictUnit) (unitResult, error) {
-	j := &predictJob{unit: u, done: make(chan unitResult, 1)}
-	if t := obs.TracerFrom(ctx); t != nil {
-		t.Acquire()
-		j.tracer = t
-		j.obsCtx = ctx
-	}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		j.release()
-		return unitResult{}, fmt.Errorf("server: batcher is closed")
-	}
-	b.pending = append(b.pending, j)
-	if len(b.pending) >= b.max {
-		batch := b.takeLocked()
-		b.mu.Unlock()
-		go b.run(batch)
-	} else {
-		if len(b.pending) == 1 {
-			b.timer = time.AfterFunc(b.window, b.flush)
-		}
-		b.mu.Unlock()
-	}
-	select {
-	case res := <-j.done:
-		return res, nil
-	case <-ctx.Done():
-		// The batch keeps running under the server context; its result
-		// lands in the cache for the next caller.
-		return unitResult{}, ctx.Err()
-	}
-}
-
-// flush executes whatever the window collected.
-func (b *batcher) flush() {
-	b.mu.Lock()
-	batch := b.takeLocked()
-	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.run(batch)
-	}
-}
-
-// takeLocked detaches the pending batch; the caller holds the lock.
-func (b *batcher) takeLocked() []*predictJob {
-	batch := b.pending
-	b.pending = nil
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	return batch
-}
-
-// run executes one batch: dedupe by unit key, fan the distinct units
-// over the shared pool, deliver every job its unit's result. Units
-// fail independently — one bad payload in a batch cannot fail its
-// neighbours.
-func (b *batcher) run(batch []*predictJob) {
-	b.s.metrics.recordBatch(len(batch))
-	ctx, cancel := context.WithTimeout(b.s.baseCtx, b.s.cfg.Timeout)
-	defer cancel()
-
-	index := make(map[string]int, len(batch))
-	var distinct []predictUnit
-	var obsCtxs []context.Context
-	for _, j := range batch {
-		if _, ok := index[j.unit.key]; !ok {
-			index[j.unit.key] = len(distinct)
-			distinct = append(distinct, j.unit)
-			// The first job's trace owns the unit's analysis spans; jobs
-			// deduplicated onto the same unit share the result but not
-			// the spans (one computation, one recording).
-			obsCtxs = append(obsCtxs, j.obsCtx)
-		}
-	}
-	results := make([]unitResult, len(distinct))
-	// Errors stay inside their unit's result slot, so ForEach never
-	// cancels the batch.
-	poolErr := b.s.pool.ForEach(ctx, len(distinct), func(ctx context.Context, i int) error {
-		uctx := ctx
-		if obsCtxs[i] != nil {
-			uctx = obs.Transplant(ctx, obsCtxs[i])
-		}
-		results[i] = b.s.runUnit(uctx, distinct[i])
-		return nil
-	})
-	for i := range results {
-		// A slot a cancelled/closed pool never filled must still carry
-		// an error, not a nil estimator.
-		if results[i].est == nil && results[i].err == nil {
-			err := poolErr
-			if err == nil {
-				err = fmt.Errorf("server: batch aborted")
-			}
-			results[i].err = err
-		}
-	}
-	for _, j := range batch {
-		j.done <- results[index[j.unit.key]]
-		j.release()
-	}
-}
-
-// close fails any still-pending jobs and refuses new ones. Called
-// after the drain gate has emptied, so normally nothing is pending.
-func (b *batcher) close() {
-	b.mu.Lock()
-	b.closed = true
-	batch := b.takeLocked()
-	b.mu.Unlock()
-	for _, j := range batch {
-		j.done <- unitResult{err: fmt.Errorf("server: shutting down")}
-		j.release()
-	}
 }

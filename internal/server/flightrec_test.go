@@ -130,7 +130,7 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 		t.Fatalf("unfiltered dump invalid: %v", err)
 	}
 	// Besides the warm request's memo hit, the dump holds the warm-up's
-	// srv.batch, which missed the memo and ran the batch.
+	// srv.batch, which missed the memo and ran the analysis.
 	doc.TraceEvents = nil
 	if err := json.Unmarshal(all, &doc); err != nil {
 		t.Fatal(err)

@@ -57,12 +57,10 @@ func FuzzPredictHandler(f *testing.F) {
 	}
 
 	// One shared server for every fuzz iteration, like production: the
-	// cache and metrics accumulate across inputs. MaxBatch 1 flushes
-	// each submission immediately; the small step budget bounds what a
-	// mutated kernel can cost.
+	// cache and metrics accumulate across inputs. The small step budget
+	// bounds what a mutated kernel can cost.
 	s := server.New(server.Config{
 		Workers:      2,
-		MaxBatch:     1,
 		Timeout:      30 * time.Second,
 		MaxBodyBytes: 1 << 16,
 		PTXMaxSteps:  10_000,

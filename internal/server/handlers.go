@@ -185,13 +185,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			BlockX:          req.BlockX,
 		})
 	}
-	// A memoized unit is answered at once; only a miss waits out the
-	// batch window. The srv.batch span covers both paths.
+	// A memoized unit is answered at once; a miss runs detached on the
+	// pool. The srv.batch span covers both paths; on a miss its self
+	// time is the wait for a worker.
 	bctx, bspan := obs.Start(ctx, "srv.batch")
 	res, hit := s.memoized(unit)
 	var err error
 	if !hit {
-		res, err = s.batcher.submit(bctx, unit)
+		res, err = s.runDetached(bctx, unit)
 	}
 	bspan.SetAttr(obs.Bool("memo_hit", hit))
 	bspan.End()

@@ -27,22 +27,18 @@ var statusClasses = []string{"2xx", "4xx", "5xx"}
 
 var latencyBounds = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-var batchBounds = []float64{1, 2, 4, 8, 16, 32}
-
 // metrics is the process-wide serving telemetry, exported as
 // Prometheus text on /metrics.
 type metrics struct {
 	start time.Time
 	reg   *obs.Registry
 
-	requests   *obs.CounterVec   // by endpoint and status class
-	latency    *obs.HistogramVec // by endpoint, seconds
-	inFlight   *obs.Gauge
-	panics     *obs.Counter
-	rejected   *obs.Counter // requests refused while draining
-	slow       *obs.Counter // requests over the slow-request threshold
-	batches    *obs.Counter
-	batchSizes *obs.Histogram
+	requests *obs.CounterVec   // by endpoint and status class
+	latency  *obs.HistogramVec // by endpoint, seconds
+	inFlight *obs.Gauge
+	panics   *obs.Counter
+	rejected *obs.Counter // requests refused while draining
+	slow     *obs.Counter // requests over the slow-request threshold
 }
 
 func newMetrics(cache *analysiscache.Cache, pool *parallel.Pool) *metrics {
@@ -62,10 +58,6 @@ func newMetrics(cache *analysiscache.Cache, pool *parallel.Pool) *metrics {
 			"Requests refused while the server was draining."),
 		slow: reg.Counter("cnnperfd_slow_requests_total",
 			"Requests slower than the configured slow-request threshold."),
-		batches: reg.Counter("cnnperfd_batches_total",
-			"Coalesced analysis batches executed."),
-		batchSizes: reg.Histogram("cnnperfd_batch_size",
-			"Number of coalesced predict requests per batch, counted before deduplication.", batchBounds),
 	}
 	// Pre-register every endpoint series so zero counts are visible.
 	for _, ep := range endpointNames {
@@ -160,14 +152,6 @@ func (m *metrics) record(endpoint string, status int, d time.Duration) {
 	}
 	m.requests.With(endpoint, class).Inc()
 	m.latency.With(endpoint).Observe(d.Seconds())
-}
-
-// recordBatch counts one executed batch of size coalesced requests.
-// The size is taken before the batch deduplicates by unit key, so a
-// burst of identical requests records its full request count.
-func (m *metrics) recordBatch(size int) {
-	m.batches.Inc()
-	m.batchSizes.Observe(float64(size))
 }
 
 // writePrometheus renders the registry in Prometheus text exposition

@@ -29,8 +29,6 @@ var serverFamilies = map[string]string{
 	"cnnperfd_panics_total":             "counter",
 	"cnnperfd_rejected_total":           "counter",
 	"cnnperfd_slow_requests_total":      "counter",
-	"cnnperfd_batches_total":            "counter",
-	"cnnperfd_batch_size":               "histogram",
 	"cnnperfd_uptime_seconds":           "gauge",
 
 	"cnnperfd_cache_hits_total":      "counter",

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -40,7 +41,7 @@ func waitForGoroutines(t *testing.T, before int) {
 // data-race gate for the whole serving path.
 func TestConcurrentPredictHammer(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := server.New(server.Config{Workers: 4, BatchWindow: time.Millisecond, MaxBatch: 4})
+	s := server.New(server.Config{Workers: 4})
 	ts := httptest.NewServer(s.Handler())
 	client := ts.Client()
 
@@ -145,22 +146,16 @@ func TestConcurrentPredictHammer(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// TestBatchCoalescing holds a wide batch window open and releases a
-// burst of concurrent requests: the batcher must coalesce them into
-// fewer batches than requests, and identical payloads must share one
-// analysis.
-func TestBatchCoalescing(t *testing.T) {
-	s := server.New(server.Config{Workers: 4, BatchWindow: 100 * time.Millisecond, MaxBatch: 32})
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.Drain(ctx)
-		s.Close()
-	}()
+// TestSingleflightCoalescing releases a burst of concurrent identical
+// cold predicts: the cache's singleflight must make them share one
+// analysis on one pool worker, and every request must get the same
+// bytes.
+func TestSingleflightCoalescing(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{Workers: 4})
+	tasks, _ := analysisWork(t, ts.URL)
 
 	const n = 6
+	bodies := make([][]byte, n)
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -171,6 +166,7 @@ func TestBatchCoalescing(t *testing.T) {
 			if code != http.StatusOK {
 				errs <- fmt.Errorf("status %d: %s", code, raw)
 			}
+			bodies[i] = raw
 		}()
 	}
 	wg.Wait()
@@ -178,15 +174,81 @@ func TestBatchCoalescing(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-
-	text := scrapePrometheus(t, ts.URL, "", "")
-	if batches := promValue(t, text, "cnnperfd_batches_total"); batches >= n {
-		t.Errorf("burst of %d concurrent identical requests ran %v batches; expected coalescing", n, batches)
+	for i := 1; i < n; i++ {
+		if !bytes.Equal(bodies[0], bodies[i]) {
+			t.Errorf("coalesced response %d differs:\n%s\nvs\n%s", i, bodies[0], bodies[i])
+		}
 	}
-	count := promValue(t, text, "cnnperfd_batch_size_count")
-	sum := promValue(t, text, "cnnperfd_batch_size_sum")
-	if count == 0 || sum/count <= 1 {
-		t.Errorf("batch size histogram shows no coalescing: count %v, sum %v", count, sum)
+	if after, _ := analysisWork(t, ts.URL); after != tasks+1 {
+		t.Errorf("burst of %d identical predicts ran %v pool tasks, want 1", n, after-tasks)
+	}
+}
+
+// TestCancelledLeaderKeepsFollower cancels the first of two identical
+// cold predicts while its analysis runs. The cancelled client gets 499
+// at once, but the detached analysis keeps going: the second request,
+// waiting on the same singleflight, gets 200, and a third is a memo hit.
+func TestCancelledLeaderKeepsFollower(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{Workers: 2})
+	const body = `{"model":"vgg16","gpus":["gtx1080ti"]}`
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader := make(chan int, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		leader <- rec.Code
+	}()
+	waitForMetric(t, ts.URL, "cnnperfd_pool_active_workers", 1)
+
+	waits := promValue(t, scrapePrometheus(t, ts.URL, "", ""), "cnnperfd_cache_waits_total")
+	type result struct {
+		code int
+		body []byte
+	}
+	follower := make(chan result, 1)
+	go func() {
+		code, raw := postJSONQuiet(ts.URL+"/v1/predict", body)
+		follower <- result{code, raw}
+	}()
+	waitForMetric(t, ts.URL, "cnnperfd_cache_waits_total", waits+1)
+
+	cancel()
+	select {
+	case code := <-leader:
+		if code != 499 {
+			t.Errorf("cancelled leader got status %d, want 499", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled leader was not answered")
+	}
+	res := <-follower
+	if res.code != http.StatusOK {
+		t.Fatalf("follower of a cancelled leader got status %d: %s", res.code, res.body)
+	}
+
+	tasks, misses := analysisWork(t, ts.URL)
+	code, raw := postJSON(t, ts.URL+"/v1/predict", body)
+	if code != http.StatusOK || !bytes.Equal(raw, res.body) {
+		t.Errorf("memoized repeat: status %d, body differs %v", code, !bytes.Equal(raw, res.body))
+	}
+	if gotTasks, gotMisses := analysisWork(t, ts.URL); gotTasks != tasks || gotMisses != misses {
+		t.Errorf("repeat after a cancelled leader was not a memo hit: pool tasks %v -> %v, cache misses %v -> %v",
+			tasks, gotTasks, misses, gotMisses)
+	}
+}
+
+// waitForMetric polls /metrics until series reaches at least want.
+func waitForMetric(t *testing.T, baseURL, series string, want float64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for promValue(t, scrapePrometheus(t, baseURL, "", ""), series) < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never reached %v", series, want)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

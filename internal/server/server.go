@@ -8,11 +8,13 @@
 //	POST /v1/predict  CNN spec or raw PTX in, per-GPU IPC predictions out
 //	POST /v1/lint     PTXA static-analysis diagnostics
 //	GET  /healthz     liveness probe
-//	GET  /metrics     expvar-style JSON counters
+//	GET  /metrics     Prometheus text exposition
 //
 // The server owns one process-wide analysis cache and one bounded
-// worker pool; concurrent predictions are coalesced into bounded
-// analysis batches (see batch.go). Every request gets a deadline, a
+// worker pool. A predict whose unit is memoized is answered at once; a
+// miss computes under the cache's singleflight, which coalesces
+// identical concurrent predictions, on one worker of the pool, which
+// bounds distinct ones (see batch.go). Every request gets a deadline, a
 // bounded body, and a structured error envelope; shutdown drains
 // in-flight requests while late arrivals get 503.
 package server
@@ -43,18 +45,11 @@ type Config struct {
 	// CacheSize bounds the analysis cache entry count (<= 0 means
 	// unbounded).
 	CacheSize int
-	// Timeout is the per-request (and per-batch) deadline (default 60s).
+	// Timeout is the per-request deadline (default 60s). A cache miss's
+	// detached analysis gets the same budget.
 	Timeout time.Duration
 	// MaxBodyBytes bounds the request body (default 1 MiB).
 	MaxBodyBytes int64
-	// BatchWindow is how long the batcher waits to coalesce concurrent
-	// predictions into one analysis batch (default 2ms). It applies to
-	// cache misses only: a predict whose unit is already memoized is
-	// answered without entering the batcher.
-	BatchWindow time.Duration
-	// MaxBatch bounds the number of requests coalesced into one batch
-	// (default 16).
-	MaxBatch int
 	// PTXMaxSteps bounds the abstract execution of each thread of a raw
 	// PTX payload, capping adversarial inputs (default 5M steps).
 	PTXMaxSteps int64
@@ -101,27 +96,20 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
 	if c.PTXMaxSteps <= 0 {
 		c.PTXMaxSteps = 5_000_000
 	}
 	return c
 }
 
-// Server is the daemon state: one analysis cache, one worker pool, one
-// batcher, and the serving telemetry. Construct with New, serve its
-// Handler, and stop it with Drain then Close.
+// Server is the daemon state: one analysis cache, one worker pool, and
+// the serving telemetry. Construct with New, serve its Handler, and
+// stop it with Drain then Close.
 type Server struct {
 	cfg      Config
 	pipeline core.Config
 	cache    *analysiscache.Cache
 	pool     *parallel.Pool
-	batcher  *batcher
 	metrics  *metrics
 	gate     *drainGate
 	fr       *obs.FlightRecorder
@@ -130,8 +118,8 @@ type Server struct {
 	// constructed with NewWithStore and a StoreDir or SnapshotFile.
 	tier *artifactstore.Tier
 
-	// baseCtx outlives any single request: batch analyses run under it
-	// so a departed client cannot cancel work that will be cached for
+	// baseCtx outlives any single request: cache-miss analyses run under
+	// it so a departed client cannot cancel work that will be cached for
 	// the next caller. Close cancels it.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -167,7 +155,6 @@ func New(cfg Config) *Server {
 		s.fr = obs.NewFlightRecorder(frCfg)
 		s.fr.RegisterMetrics(s.metrics.reg)
 	}
-	s.batcher = newBatcher(s, cfg.BatchWindow, cfg.MaxBatch)
 	s.handler = s.middleware(s.routes())
 	return s
 }
@@ -260,11 +247,10 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 // in-flight request has completed or ctx expires.
 func (s *Server) Drain(ctx context.Context) error { return s.gate.drain(ctx) }
 
-// Close releases the worker pool and cancels any in-flight batch work.
+// Close releases the worker pool and cancels any in-flight analysis.
 // Call after Drain; requests arriving later are rejected by the gate.
 func (s *Server) Close() {
 	s.baseCancel()
-	s.batcher.close()
 	s.pool.Close()
 }
 

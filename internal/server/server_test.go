@@ -181,39 +181,42 @@ func TestPredictSecondRequestHitsCache(t *testing.T) {
 	}
 }
 
-// TestMemoizedPredictSkipsBatchWindow holds the batch window open far
-// longer than a memo lookup takes. A repeat of a memoized predict must
-// come back byte-identical well inside the window without running a
-// batch. A payload the lint gate rejects is never memoized, so each of
-// its repeats runs a batch and gets the same 422 envelope.
-func TestMemoizedPredictSkipsBatchWindow(t *testing.T) {
-	const window = 500 * time.Millisecond
-	_, ts := newTestServer(t, server.Config{BatchWindow: window})
-	batches := func() float64 {
-		t.Helper()
-		return promValue(t, scrapePrometheus(t, ts.URL, "", ""), "cnnperfd_batches_total")
-	}
+// analysisWork scrapes the two counters that move only when a predict
+// runs analysis: pool tasks completed and analysis-cache misses.
+func analysisWork(t *testing.T, baseURL string) (tasks, misses float64) {
+	t.Helper()
+	text := scrapePrometheus(t, baseURL, "", "")
+	return promValue(t, text, "cnnperfd_pool_tasks_completed_total"),
+		promValue(t, text, "cnnperfd_cache_misses_total")
+}
+
+// TestMemoizedPredictRunsNoPoolTask checks that a repeat of a memoized
+// predict is answered byte-identical from the memo without taking a
+// worker, while a payload the lint gate rejects is never memoized: each
+// of its repeats runs exactly one pool task and gets the same 422
+// envelope.
+func TestMemoizedPredictRunsNoPoolTask(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
 
 	body := `{"model":"alexnet","gpus":["gtx1080ti"]}`
 	code, first := postJSON(t, ts.URL+"/v1/predict", body)
 	if code != http.StatusOK {
 		t.Fatalf("first predict: status %d: %s", code, first)
 	}
-	before := batches()
-	start := time.Now()
+	tasks, misses := analysisWork(t, ts.URL)
+	if tasks != 1 {
+		t.Errorf("cold predict ran %v pool tasks, want 1", tasks)
+	}
 	code, second := postJSON(t, ts.URL+"/v1/predict", body)
-	elapsed := time.Since(start)
 	if code != http.StatusOK {
 		t.Fatalf("repeat predict: status %d: %s", code, second)
 	}
 	if !bytes.Equal(first, second) {
 		t.Errorf("memoized response differs:\n%s\nvs\n%s", first, second)
 	}
-	if elapsed >= window/2 {
-		t.Errorf("memoized predict took %v; want well under the %v batch window", elapsed, window)
-	}
-	if after := batches(); after != before {
-		t.Errorf("memoized predict ran a batch: cnnperfd_batches_total %v -> %v", before, after)
+	if gotTasks, gotMisses := analysisWork(t, ts.URL); gotTasks != tasks || gotMisses != misses {
+		t.Errorf("memoized predict ran analysis: pool tasks %v -> %v, cache misses %v -> %v",
+			tasks, gotTasks, misses, gotMisses)
 	}
 
 	// A kernel reading an undefined register fails the lint gate.
@@ -221,7 +224,7 @@ func TestMemoizedPredictSkipsBatchWindow(t *testing.T) {
 	badBody := `{"ptx":` + mustQuote(bad) + `,"gpus":["gtx1080ti"]}`
 	var envelopes [2][]byte
 	for i := range envelopes {
-		before := batches()
+		before, _ := analysisWork(t, ts.URL)
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict", strings.NewReader(badBody))
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("X-Request-ID", "memo-reject") // same id, so the bodies can match
@@ -234,13 +237,50 @@ func TestMemoizedPredictSkipsBatchWindow(t *testing.T) {
 			!strings.Contains(env.Error.Message, "rejected by static analysis") {
 			t.Fatalf("rejected payload %d: envelope %v %s", i, err, raw)
 		}
-		if after := batches(); after != before+1 {
-			t.Errorf("rejected payload %d ran %v batches, want 1", i, after-before)
+		if after, _ := analysisWork(t, ts.URL); after != before+1 {
+			t.Errorf("rejected payload %d ran %v pool tasks, want 1", i, after-before)
 		}
 		envelopes[i] = raw
 	}
 	if !bytes.Equal(envelopes[0], envelopes[1]) {
 		t.Errorf("repeated rejection differs:\n%s\nvs\n%s", envelopes[0], envelopes[1])
+	}
+}
+
+// TestPTXDefaultLaunchSharesUnit checks that a raw-PTX predict without
+// a launch shape and one naming the default shape (2 blocks of 32
+// threads) are one unit: one content key, and the second request is a
+// memo hit that runs no analysis.
+func TestPTXDefaultLaunchSharesUnit(t *testing.T) {
+	implicit := server.PredictRequest{PTX: testPTX, GPUs: []string{"gtx1080ti"}}
+	explicit := implicit
+	explicit.GridX, explicit.BlockX = 2, 32
+	if implicit.ContentKey() != explicit.ContentKey() {
+		t.Errorf("default launch shape changes the content key")
+	}
+
+	_, ts := newTestServer(t, server.Config{})
+	post := func(req server.PredictRequest) []byte {
+		t.Helper()
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, raw := postJSON(t, ts.URL+"/v1/predict", string(b))
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, raw)
+		}
+		return raw
+	}
+	first := post(implicit)
+	tasks, misses := analysisWork(t, ts.URL)
+	second := post(explicit)
+	if !bytes.Equal(first, second) {
+		t.Errorf("explicit default launch answers differently:\n%s\nvs\n%s", first, second)
+	}
+	if gotTasks, gotMisses := analysisWork(t, ts.URL); gotTasks != tasks || gotMisses != misses {
+		t.Errorf("explicit default launch missed the memo: pool tasks %v -> %v, cache misses %v -> %v",
+			tasks, gotTasks, misses, gotMisses)
 	}
 }
 
@@ -396,7 +436,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %v, want %v", series, got, want)
 		}
 	}
-	for _, series := range []string{"cnnperfd_cache_misses_total", "cnnperfd_batches_total", "cnnperfd_uptime_seconds"} {
+	for _, series := range []string{"cnnperfd_cache_misses_total", "cnnperfd_pool_tasks_completed_total", "cnnperfd_uptime_seconds"} {
 		if got := promValue(t, text, series); got <= 0 {
 			t.Errorf("%s = %v, want > 0", series, got)
 		}
