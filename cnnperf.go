@@ -372,7 +372,8 @@ type StaticAnalysis = ptxanalysis.ModuleAnalysis
 
 // LintCNN compiles a zoo model to PTX and runs the static-analysis lint
 // over every generated kernel, returning the diagnostics errors-first
-// per kernel.
+// per kernel. Kernels already analysed in cfg.Cache are not analysed
+// again.
 func LintCNN(name string, cfg Config) ([]Diag, error) {
 	m, err := zoo.Build(name)
 	if err != nil {
@@ -382,7 +383,7 @@ func LintCNN(name string, cfg Config) ([]Diag, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ptxanalysis.Lint(prog.Module), nil
+	return ptxanalysis.LintCached(context.Background(), prog.Module, cfg.Cache), nil
 }
 
 // LintPTX parses PTX assembly text and lints every kernel in it.
@@ -391,7 +392,7 @@ func LintPTX(src string) ([]Diag, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ptxanalysis.Lint(m), nil
+	return ptxanalysis.LintCached(context.Background(), m, nil), nil
 }
 
 // HasLintErrors reports whether any diagnostic is error-severity — the

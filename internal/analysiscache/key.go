@@ -2,6 +2,7 @@ package analysiscache
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"fmt"
 	"sort"
@@ -80,16 +81,38 @@ func Fingerprint(k *ptx.Kernel) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// KernelKey derives a cache key in the given namespace from a kernel's
-// canonical text plus any extra discriminators (launch geometry,
-// parameter values, executor options). Extras are length-framed before
-// hashing so no two distinct extra lists can collide by concatenation.
-func KernelKey(ns string, k *ptx.Kernel, extras ...string) string {
+// Digest is a kernel's content digest: its canonical text, rendered
+// and hashed once, from which every per-kernel cache key derives. It
+// holds the SHA-256 state after the length-framed canonical text, so a
+// key costs only the hashing of its extras. Construct with NewDigest.
+type Digest struct{ state []byte }
+
+// NewDigest renders and hashes the canonical text of k.
+func NewDigest(k *ptx.Kernel) Digest {
 	h := sha256.New()
 	text := CanonicalKernelText(k)
 	fmt.Fprintf(h, "%d\x00%s", len(text), text)
+	state, _ := h.(encoding.BinaryMarshaler).MarshalBinary() // cannot fail for SHA-256
+	return Digest{state: state}
+}
+
+// Key derives a cache key in the given namespace from the digested
+// kernel plus any extra discriminators (launch geometry, parameter
+// values, executor options). Extras are length-framed before hashing so
+// no two distinct extra lists can collide by concatenation.
+func (d Digest) Key(ns string, extras ...string) string {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(d.state); err != nil {
+		panic("analysiscache: key from a zero Digest")
+	}
 	for _, e := range extras {
 		fmt.Fprintf(h, "%d\x00%s", len(e), e)
 	}
 	return ns + ":" + hex.EncodeToString(h.Sum(nil))
+}
+
+// KernelKey is NewDigest(k).Key(ns, extras...). Callers deriving more
+// than one key from a kernel keep the Digest instead.
+func KernelKey(ns string, k *ptx.Kernel, extras ...string) string {
+	return NewDigest(k).Key(ns, extras...)
 }

@@ -15,6 +15,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -31,6 +32,7 @@ import (
 	"cnnperf/internal/obs"
 	"cnnperf/internal/parallel"
 	"cnnperf/internal/profiler"
+	"cnnperf/internal/ptx"
 	"cnnperf/internal/ptxanalysis"
 	"cnnperf/internal/ptxanalysis/absint"
 	"cnnperf/internal/ptxgen"
@@ -224,11 +226,21 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 		return nil, err
 	}
 
+	// The static pass runs first: the DCA's gate, loop detection and
+	// block-visit collapse read its per-kernel analyses.
+	t0 = time.Now()
+	static, err := staticPass(ctx, prog.Module, cfg.Cache)
+	stage("static.analysis", t0)
+	if err != nil {
+		return nil, err
+	}
+
 	t0 = time.Now()
 	rep, err := dca.AnalyzeProgramContext(ctx, prog, dca.Options{
 		Cache:       cfg.Cache,
 		Exec:        dca.ExecOptions{Reference: cfg.ReferenceInterp},
 		BlockCounts: cfg.BBFeatures,
+		Static:      static,
 	})
 	stage("dca.analyze", t0)
 	if err != nil {
@@ -236,15 +248,6 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-
-	t0 = time.Now()
-	sctx, s := obs.Start(ctx, "static.analysis")
-	static, err := ptxanalysis.AnalyzeModuleCachedContext(sctx, prog.Module, cfg.Cache)
-	s.End()
-	stage("static.analysis", t0)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &ModelAnalysis{
 		Name:    m.Name,
@@ -254,6 +257,19 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 		DCATime: time.Since(start),
 		Stages:  stages,
 	}, nil
+}
+
+// staticPass runs the per-kernel static analysis of a module under the
+// "static.analysis" span: the one analysis pass per kernel that the
+// static features, the lint and the DCA all read.
+func staticPass(ctx context.Context, m *ptx.Module, c *analysiscache.Cache) (*ptxanalysis.ModuleAnalysis, error) {
+	sctx, s := obs.Start(ctx, "static.analysis")
+	defer s.End()
+	static, err := ptxanalysis.AnalyzeModuleCachedContext(sctx, m, c)
+	if err != nil && !errors.Is(err, ctx.Err()) {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return static, err
 }
 
 // Features assembles the predictor vector of this CNN on the given GPU,

@@ -11,7 +11,6 @@ import (
 	"cnnperf/internal/mlearn"
 	"cnnperf/internal/obs"
 	"cnnperf/internal/ptx"
-	"cnnperf/internal/ptxanalysis"
 	"cnnperf/internal/ptxgen"
 	"cnnperf/internal/zoo"
 )
@@ -189,22 +188,23 @@ func AnalyzePTXContext(ctx context.Context, src string, opt PTXOptions, cfg Conf
 		})
 	}
 	prog := &ptxgen.Program{Model: opt.name(), Module: m, Launches: launches}
+	static, err := staticPass(ctx, m, cfg.Cache)
+	if err != nil {
+		return nil, err
+	}
 	rep, err := dca.AnalyzeProgramContext(ctx, prog, dca.Options{
 		Cache: cfg.Cache,
 		Exec: dca.ExecOptions{
 			Reference: cfg.ReferenceInterp,
 			MaxSteps:  opt.MaxSteps,
 		},
+		Static: static,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	static, err := ptxanalysis.AnalyzeModuleCached(m, cfg.Cache)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &ModelAnalysis{
 		Name:    opt.name(),

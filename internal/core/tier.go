@@ -22,8 +22,10 @@ import (
 //	dca   per-launch dynamic-code-analysis reports (*dca.KernelReport)
 //	dcac  compiled control-slice bytecode          (*dca.CompiledKernel)
 //	ptxa  static kernel analyses                   (*ptxanalysis.KernelAnalysis)
-//	lint  lint-gate results                        ([]ptxanalysis.Diag)
 //	est   trained estimators                       (*Estimator)
+//
+// The DCA gate reads the ptxa analysis; a lint/ directory left by older
+// stores has no codec and is never read.
 //
 // Each codec's Version() is the namespace format version: bump it in
 // lockstep with the payload version constant of the owning package and
@@ -68,19 +70,6 @@ func (ptxaCodec) Encode(v any) ([]byte, error) {
 }
 func (ptxaCodec) Decode(b []byte) (any, error) { return ptxanalysis.UnmarshalKernelAnalysis(b) }
 
-type lintCodec struct{}
-
-func (lintCodec) Namespace() string { return "lint" }
-func (lintCodec) Version() int      { return 1 }
-func (lintCodec) Encode(v any) ([]byte, error) {
-	diags, ok := v.([]ptxanalysis.Diag)
-	if !ok {
-		return nil, fmt.Errorf("core: lint codec got %T", v)
-	}
-	return ptxanalysis.MarshalDiags(diags)
-}
-func (lintCodec) Decode(b []byte) (any, error) { return ptxanalysis.UnmarshalDiags(b) }
-
 type estCodec struct{}
 
 func (estCodec) Namespace() string { return "est" }
@@ -98,7 +87,7 @@ func (estCodec) Decode(b []byte) (any, error) { return UnmarshalEstimator(b) }
 // the pipeline caches. store may be nil for a snapshot-only tier.
 func NewArtifactTier(store *artifactstore.Store) (*artifactstore.Tier, error) {
 	return artifactstore.NewTier(store,
-		dcaCodec{}, dcacCodec{}, ptxaCodec{}, lintCodec{}, estCodec{})
+		dcaCodec{}, dcacCodec{}, ptxaCodec{}, estCodec{})
 }
 
 // configFingerprintView is the subset of Config that changes analysis

@@ -12,13 +12,11 @@ import (
 
 	"cnnperf/internal/ptx"
 	"cnnperf/internal/ptx/cfg"
+	"cnnperf/internal/ptxanalysis"
 )
 
-// BasicBlock is a maximal straight-line instruction range [Start, End).
-// It is shared with the static-analysis framework via internal/ptx/cfg.
-type BasicBlock = cfg.Block
-
-// CFG is the control-flow graph of one kernel.
+// CFG is the control-flow graph of one kernel, shared with the
+// static-analysis framework via internal/ptx/cfg.
 type CFG = cfg.Graph
 
 // BuildCFG partitions the kernel body into basic blocks and wires the
@@ -30,4 +28,18 @@ func BuildCFG(k *ptx.Kernel) (*CFG, error) {
 		return nil, fmt.Errorf("dca: %w", err)
 	}
 	return g, nil
+}
+
+// kernelCFG returns the control-flow graph and natural loops of k from
+// its shared static analysis, rebuilding them only when a is nil or a
+// reduced view decoded from disk, which carries no CFG.
+func kernelCFG(k *ptx.Kernel, a *ptxanalysis.KernelAnalysis) (*CFG, []ptxanalysis.Loop, error) {
+	if a != nil && a.CFG != nil {
+		return a.CFG, a.Loops, nil
+	}
+	g, err := BuildCFG(k)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, ptxanalysis.NaturalLoops(g, ptxanalysis.Dominators(g)), nil
 }

@@ -175,6 +175,13 @@ type CompiledKernel struct {
 // compiled kernel mirrors the reference interpreter's behavior exactly.
 // Callers fall back to ExecuteThread when Compile fails.
 func Compile(k *ptx.Kernel, slice *ControlSlice, opts ExecOptions) (*CompiledKernel, error) {
+	g, loops, _ := kernelCFG(k, nil)
+	return compile(k, slice, opts, g, loops)
+}
+
+// compile is Compile reading the kernel's CFG and natural loops from
+// its shared static analysis.
+func compile(k *ptx.Kernel, slice *ControlSlice, opts ExecOptions, g *CFG, loops []ptxanalysis.Loop) (*CompiledKernel, error) {
 	n := len(k.Body)
 	if len(slice.InSlice) != n {
 		return nil, fmt.Errorf("dca: compile: slice covers %d of %d instructions", len(slice.InSlice), n)
@@ -224,7 +231,7 @@ func Compile(k *ptx.Kernel, slice *ControlSlice, opts ExecOptions) (*CompiledKer
 		c.nextInterp[pc] = next
 	}
 	c.slots = len(c.regNames)
-	c.detectLoops(k)
+	c.detectLoops(g, loops)
 	c.computeLayout()
 	return c, nil
 }
@@ -443,15 +450,11 @@ func (c *CompiledKernel) compileInst(k *ptx.Kernel, pc int, in *ptx.Instruction,
 const kernelPlaceholder = "\x00kernel\x00"
 
 // detectLoops registers closed-form trip counts for the affine
-// single-block self-loops the natural-loop analysis finds. Kernels the
-// CFG builder rejects simply get no closed forms — execution still
-// works, iterating such loops one step at a time.
-func (c *CompiledKernel) detectLoops(k *ptx.Kernel) {
-	g, err := BuildCFG(k)
-	if err != nil {
-		return
-	}
-	for _, l := range ptxanalysis.LoopsOf(g) {
+// single-block self-loops among the kernel's natural loops. Kernels the
+// CFG builder rejects have none, so they get no closed forms — execution
+// still works, iterating such loops one step at a time.
+func (c *CompiledKernel) detectLoops(g *CFG, loops []ptxanalysis.Loop) {
+	for _, l := range loops {
 		if len(l.Blocks) != 1 {
 			continue // multi-block loops iterate normally
 		}

@@ -75,8 +75,8 @@ type Options struct {
 	// Exec tunes the abstract executor.
 	Exec ExecOptions
 	// SkipLint bypasses the static-analysis validation gate. Set by
-	// AnalyzeProgram after it has linted each distinct kernel once, so
-	// repeated launches of one kernel are not re-analysed.
+	// AnalyzeProgram after it has gated each distinct kernel once, so
+	// repeated launches of one kernel are not re-gated.
 	SkipLint bool
 	// Cache memoizes per-kernel analysis results content-addressed by
 	// the kernel's canonical text and launch configuration, so identical
@@ -88,37 +88,43 @@ type Options struct {
 	// static features). Off by default: the visit profile costs one
 	// counter array per representative thread.
 	BlockCounts bool
+	// Static is the caller's static pass over the program's module
+	// under the same Cache, whose per-kernel analyses and digests
+	// AnalyzeProgram reads. Nil: it analyses each launched kernel itself.
+	Static *ptxanalysis.ModuleAnalysis
 }
 
-// lintGate rejects kernels whose static analysis reports error-severity
+// kernelFacts is what every launch of one kernel shares: its static
+// analysis (ptxanalysis.AnalyzeKernelCached), read by the gate, loop
+// detection and the block-visit collapse; its digest, keying every
+// cache entry; and the launch-independent artifacts built by prepare.
+type kernelFacts struct {
+	k   *ptx.Kernel
+	a   *ptxanalysis.KernelAnalysis
+	d   analysiscache.Digest // zero without a cache
+	err error                // the analysis failure: a structurally broken body
+
+	prepared bool
+	cfg      *CFG
+	cfgErr   error // the structural CFG failure, reported per launch when the gate is skipped
+	g        *DepGraph
+	slice    *ControlSlice
+	ck       *CompiledKernel // the engine, or under Reference mode only the block-visit profiler
+}
+
+// gate rejects kernels whose static analysis reports error-severity
 // diagnostics (use-before-def registers, unresolved branch targets):
 // abstractly executing them would compute garbage or fail midway.
-// LintErrors computes exactly the error-severity subset of the full
-// lint, skipping the warning-only analyses the gate never looks at.
-func lintGate(k *ptx.Kernel) error {
-	return gateErr(k, ptxanalysis.LintErrors(k))
-}
-
-// cachedLintGate is lintGate memoizing the error-severity findings by
-// kernel content.
-func cachedLintGate(k *ptx.Kernel, c *analysiscache.Cache) error {
-	if c == nil {
-		return lintGate(k)
+func (f *kernelFacts) gate() error {
+	var errs []ptxanalysis.Diag
+	if f.err != nil {
+		errs = ptxanalysis.Malformed(f.k, f.err)
+	} else {
+		errs = ptxanalysis.Errors(f.a.Diags)
 	}
-	v, _, err := c.GetOrCompute(analysiscache.KernelKey("lint", k), func() (any, error) {
-		return ptxanalysis.LintErrors(k), nil
-	})
-	if err != nil {
-		return err
-	}
-	return gateErr(k, v.([]ptxanalysis.Diag))
-}
-
-// gateErr converts error-severity diagnostics into the gate rejection.
-func gateErr(k *ptx.Kernel, errs []ptxanalysis.Diag) error {
 	if len(errs) > 0 {
 		return fmt.Errorf("dca: kernel %s rejected by static analysis: %s (%d error diagnostics)",
-			k.Name, errs[0].Msg, len(errs))
+			f.k.Name, errs[0].Msg, len(errs))
 	}
 	return nil
 }
@@ -130,61 +136,57 @@ func gateErr(k *ptx.Kernel, errs []ptxanalysis.Diag) error {
 // population. With opts.Cache set, the result is memoized by kernel
 // content and launch configuration.
 func AnalyzeKernelLaunch(k *ptx.Kernel, l ptxgen.Launch, opts Options) (KernelReport, error) {
-	return analyzeKernelLaunch(k, l, opts, nil, nil)
-}
-
-// kernelProgram bundles the per-kernel artifacts every launch of one
-// kernel shares: the dependency graph, the control slice and the
-// compiled bytecode. AnalyzeProgram prepares one per distinct kernel so
-// repeated launches do not rebuild them.
-type kernelProgram struct {
-	g     *DepGraph
-	slice *ControlSlice
-	ck    *CompiledKernel // nil: run the reference interpreter
-	// cfgErr is the structural CFG failure, reported per launch when
-	// the lint gate is skipped.
-	cfgErr error
-}
-
-// prepareKernel builds the launch-independent analysis artifacts.
-func prepareKernel(k *ptx.Kernel, opts Options) *kernelProgram {
-	kp := &kernelProgram{}
-	if _, err := BuildCFG(k); err != nil {
-		kp.cfgErr = err
-		return kp
+	if k == nil {
+		return KernelReport{}, fmt.Errorf("dca: nil kernel")
 	}
-	kp.g = BuildDepGraph(k)
-	kp.slice = BuildControlSlice(k, kp.g)
-	if !opts.Exec.Reference {
-		kp.ck = compiledKernel(k, kp.slice, opts)
+	f := &kernelFacts{k: k}
+	f.a, f.d, f.err = ptxanalysis.AnalyzeKernelCached(context.Background(), k, opts.Cache)
+	if !opts.SkipLint {
+		if err := f.gate(); err != nil {
+			return KernelReport{}, err
+		}
 	}
-	return kp
-}
-
-// analyzeKernelLaunch is AnalyzeKernelLaunch with an optional lazy
-// provider of prepared per-kernel artifacts (nil: build them inline) and
-// an optional reusable execution arena (nil: allocate one per call).
-func analyzeKernelLaunch(k *ptx.Kernel, l ptxgen.Launch, opts Options, prep func() *kernelProgram, ar *execArena) (KernelReport, error) {
-	kr, _, err := analyzeKernelLaunchHit(k, l, opts, prep, ar)
+	kr, _, err := analyzeKernelLaunch(context.Background(), f, l, opts, newExecArena())
 	return kr, err
 }
 
-// analyzeKernelLaunchHit additionally reports whether the result came
-// out of the analysis cache, for span attribution.
-func analyzeKernelLaunchHit(k *ptx.Kernel, l ptxgen.Launch, opts Options, prep func() *kernelProgram, ar *execArena) (KernelReport, bool, error) {
-	if k == nil {
-		return KernelReport{}, false, fmt.Errorf("dca: nil kernel")
+// prepare builds the launch-independent artifacts (dependency graph,
+// control slice, compiled bytecode) on top of the static analysis,
+// once, under a "dca.compile" span.
+func (f *kernelFacts) prepare(ctx context.Context, opts Options) *kernelFacts {
+	if f.prepared {
+		return f
 	}
+	f.prepared = true
+	_, span := obs.Start(ctx, "dca.compile", obs.String("kernel", f.k.Name))
+	defer span.End()
+	var loops []ptxanalysis.Loop
+	if f.cfg, loops, f.cfgErr = kernelCFG(f.k, f.a); f.cfgErr != nil {
+		return f
+	}
+	f.g = BuildDepGraph(f.k)
+	f.slice = BuildControlSlice(f.k, f.g)
+	if !opts.Exec.Reference || opts.BlockCounts {
+		f.ck = compiledKernel(f, loops, opts)
+	}
+	return f
+}
+
+// analyzeKernelLaunch analyses one launch of the kernel f describes,
+// preparing its per-kernel artifacts on a cache miss and executing in
+// the reusable arena ar. It additionally reports whether the result
+// came out of the analysis cache, for span attribution.
+func analyzeKernelLaunch(ctx context.Context, f *kernelFacts, l ptxgen.Launch, opts Options, ar *execArena) (KernelReport, bool, error) {
+	k := f.k
 	if opts.Cache == nil {
-		kr, err := analyzeKernelLaunchUncached(k, l, opts, prep, ar)
+		kr, err := analyzeKernelLaunchUncached(f.prepare(ctx, opts), l, opts, ar)
 		return kr, false, err
 	}
-	key := launchKey(k, l, opts)
 	// GetOrCompute runs the closure on the calling goroutine, so the
 	// caller's arena never crosses goroutines; cached reports retain no
 	// arena-backed memory (BlockVisits is freshly allocated).
-	v, hit, err := opts.Cache.GetOrCompute(key, func() (any, error) {
-		kr, err := analyzeKernelLaunchUncached(k, l, opts, prep, ar)
+	v, hit, err := opts.Cache.GetOrCompute(launchKey(f, l, opts), func() (any, error) {
+		kr, err := analyzeKernelLaunchUncached(f.prepare(ctx, opts), l, opts, ar)
 		if err != nil {
 			return nil, err
 		}
@@ -217,12 +219,12 @@ func analyzeKernelLaunchHit(k *ptx.Kernel, l ptxgen.Launch, opts Options, prep f
 // influence the counted result. WorkingSetBytes and the node identity
 // are deliberately excluded — they are carried through the report but do
 // not affect the abstract execution.
-func launchKey(k *ptx.Kernel, l ptxgen.Launch, opts Options) string {
+func launchKey(f *kernelFacts, l ptxgen.Launch, opts Options) string {
 	var params strings.Builder
-	for i, p := range k.Params {
+	for i, p := range f.k.Params {
 		fmt.Fprintf(&params, "%d=%d;", i, l.Params[p.Name])
 	}
-	return analysiscache.KernelKey("dca", k,
+	return f.d.Key("dca",
 		fmt.Sprintf("grid=%d;block=%d;threads=%d;full=%t;maxsteps=%d;lint=%t;ref=%t;bb=%t",
 			l.GridX, l.BlockX, l.Threads, opts.Exec.Full, opts.Exec.MaxSteps, opts.SkipLint, opts.Exec.Reference, opts.BlockCounts),
 		params.String())
@@ -241,18 +243,18 @@ const batchLayoutVersion = 2
 // slice, memoized by kernel content and the executor knobs baked into
 // the compiled program. A nil return means the kernel cannot be
 // compiled; the caller falls back to the reference interpreter.
-func compiledKernel(k *ptx.Kernel, slice *ControlSlice, opts Options) *CompiledKernel {
+func compiledKernel(f *kernelFacts, loops []ptxanalysis.Loop, opts Options) *CompiledKernel {
 	if opts.Cache == nil {
-		ck, err := Compile(k, slice, opts.Exec)
+		ck, err := compile(f.k, f.slice, opts.Exec, f.cfg, loops)
 		if err != nil {
 			return nil
 		}
 		return ck
 	}
-	key := analysiscache.KernelKey("dcac", k,
+	key := f.d.Key("dcac",
 		fmt.Sprintf("full=%t;maxsteps=%d;layout=%d", opts.Exec.Full, opts.Exec.effectiveMaxSteps(), batchLayoutVersion))
 	v, _, err := opts.Cache.GetOrCompute(key, func() (any, error) {
-		return Compile(k, slice, opts.Exec)
+		return compile(f.k, f.slice, opts.Exec, f.cfg, loops)
 	})
 	if err != nil {
 		return nil
@@ -261,25 +263,11 @@ func compiledKernel(k *ptx.Kernel, slice *ControlSlice, opts Options) *CompiledK
 }
 
 // analyzeKernelLaunchUncached is the memoization-free analysis body.
-func analyzeKernelLaunchUncached(k *ptx.Kernel, l ptxgen.Launch, opts Options, prep func() *kernelProgram, ar *execArena) (KernelReport, error) {
-	if ar == nil {
-		ar = newExecArena()
+func analyzeKernelLaunchUncached(f *kernelFacts, l ptxgen.Launch, opts Options, ar *execArena) (KernelReport, error) {
+	if f.cfgErr != nil { // structural validation (the gate subsumes it)
+		return KernelReport{}, f.cfgErr
 	}
-	if !opts.SkipLint {
-		if err := lintGate(k); err != nil {
-			return KernelReport{}, err
-		}
-	}
-	var kp *kernelProgram
-	if prep != nil {
-		kp = prep()
-	} else {
-		kp = prepareKernel(k, opts)
-	}
-	if kp.cfgErr != nil { // structural validation (lint subsumes it)
-		return KernelReport{}, kp.cfgErr
-	}
-	slice := kp.slice
+	k, slice := f.k, f.slice
 
 	// Block-count instrumentation: only the bytecode engine carries the
 	// per-instruction visit counters. Under Reference mode the bytecode
@@ -287,9 +275,9 @@ func analyzeKernelLaunchUncached(k *ptx.Kernel, l ptxgen.Launch, opts Options, p
 	// replayed through a one-lane batch — the engines are differentially
 	// verified identical, so the replay cannot change the report — and a
 	// kernel the compiler rejects simply reports nil BlockVisits.
-	vck := kp.ck
-	if opts.BlockCounts && vck == nil {
-		vck = compiledKernel(k, slice, opts)
+	vck, engine := f.ck, f.ck
+	if opts.Exec.Reference {
+		engine = nil
 	}
 	visitsOK := true
 
@@ -299,7 +287,7 @@ func analyzeKernelLaunchUncached(k *ptx.Kernel, l ptxgen.Launch, opts Options, p
 		Static:          len(k.Body),
 		SliceSize:       slice.Size,
 		SliceFraction:   slice.Fraction(),
-		DepEdges:        kp.g.Edges(),
+		DepEdges:        f.g.Edges(),
 		PerClass:        make(map[ptx.Class]int64),
 		WorkingSetBytes: l.WorkingSetBytes,
 		Threads:         l.Threads,
@@ -329,7 +317,7 @@ func analyzeKernelLaunchUncached(k *ptx.Kernel, l ptxgen.Launch, opts Options, p
 	// zoo-wide equivalence tests enforce it.
 	var inRes, oobRes ExecResult
 	var inErr, oobErr error
-	if kp.ck != nil {
+	if engine != nil {
 		var ctxs [2]ThreadCtx
 		var outs [2]LaneResult
 		var vis [2][]int64
@@ -340,9 +328,9 @@ func analyzeKernelLaunchUncached(k *ptx.Kernel, l ptxgen.Launch, opts Options, p
 			nl = 2
 		}
 		if wantVisits {
-			kp.ck.executeBatch(k, l.Params, ctxs[:nl], vis[:nl], ar, outs[:nl])
+			engine.executeBatch(k, l.Params, ctxs[:nl], vis[:nl], ar, outs[:nl])
 		} else {
-			kp.ck.executeBatch(k, l.Params, ctxs[:nl], nil, ar, outs[:nl])
+			engine.executeBatch(k, l.Params, ctxs[:nl], nil, ar, outs[:nl])
 		}
 		inRes, inErr = outs[0].Res, outs[0].Err
 		if nl == 2 {
@@ -402,15 +390,13 @@ func analyzeKernelLaunchUncached(k *ptx.Kernel, l ptxgen.Launch, opts Options, p
 		// Collapse the per-instruction profile to per-block launch
 		// totals: a block's visit count is its first instruction's (an
 		// early thread exit can starve a block's tail, never its head).
-		if g, cerr := BuildCFG(k); cerr == nil {
-			rep.BlockVisits = make([]int64, len(g.Blocks))
-			for bi, b := range g.Blocks {
-				v := active * inVisits[b.Start]
-				if oobVisits != nil {
-					v += oob * oobVisits[b.Start]
-				}
-				rep.BlockVisits[bi] = v
+		rep.BlockVisits = make([]int64, len(f.cfg.Blocks))
+		for bi, b := range f.cfg.Blocks {
+			v := active * inVisits[b.Start]
+			if oobVisits != nil {
+				v += oob * oobVisits[b.Start]
 			}
+			rep.BlockVisits[bi] = v
 		}
 	}
 	return rep, nil
@@ -435,58 +421,66 @@ func AnalyzeProgramContext(ctx context.Context, prog *ptxgen.Program, opts Optio
 		obs.String("model", prog.Model), obs.Int("launches", len(prog.Launches)))
 	defer span.End()
 	rep := &Report{Model: prog.Model, PerClass: make(map[ptx.Class]int64)}
-	// Gate every distinct kernel once up front; the per-launch loop can
-	// then skip re-linting (a kernel may be launched many times). With a
-	// cache, the error-severity findings are memoized by content, so a
-	// kernel shape shared across models is linted exactly once.
+	st := opts.Static
+	if st != nil && (len(st.Kernels) != len(prog.Module.Kernels) || len(st.Digests) != len(st.Kernels)) {
+		return nil, fmt.Errorf("dca: static analysis does not cover the program's module")
+	}
+	// Each launched kernel's facts come from opts.Static or, without
+	// it, from the cache on first use.
+	facts := make(map[string]*kernelFacts, 8)
+	factsOf := func(ctx context.Context, name string) (*kernelFacts, error) {
+		if f := facts[name]; f != nil {
+			return f, nil
+		}
+		for i, k := range prog.Module.Kernels {
+			if k.Name == name {
+				f := &kernelFacts{k: k}
+				if st != nil {
+					f.a, f.d = st.Kernels[i], st.Digests[i]
+				} else {
+					f.a, f.d, f.err = ptxanalysis.AnalyzeKernelCached(ctx, k, opts.Cache)
+				}
+				facts[name] = f
+				return f, nil
+			}
+		}
+		return nil, fmt.Errorf("dca: launch references unknown kernel %q", name)
+	}
+	// Gate every distinct kernel once up front over its shared
+	// diagnostics; the per-launch loop can then skip re-gating (a kernel
+	// may be launched many times).
 	if !opts.SkipLint {
-		_, lintSpan := obs.Start(ctx, "dca.lint")
-		linted := make(map[string]bool, len(prog.Launches))
+		lintCtx, lintSpan := obs.Start(ctx, "dca.lint")
 		for _, l := range prog.Launches {
-			if linted[l.Kernel] {
+			if facts[l.Kernel] != nil {
 				continue
 			}
-			linted[l.Kernel] = true
-			k := prog.Module.Kernel(l.Kernel)
-			if k == nil {
-				lintSpan.End()
-				return nil, fmt.Errorf("dca: launch references unknown kernel %q", l.Kernel)
+			f, err := factsOf(lintCtx, l.Kernel)
+			if err == nil {
+				err = f.gate()
 			}
-			if err := cachedLintGate(k, opts.Cache); err != nil {
+			if err != nil {
 				lintSpan.End()
 				return nil, err
 			}
 		}
-		lintSpan.SetAttr(obs.Int("kernels", len(linted)))
+		lintSpan.SetAttr(obs.Int("kernels", len(facts)))
 		lintSpan.End()
 		opts.SkipLint = true
 	}
-	// One kernel is launched many times with different parameters; its
-	// launch-independent artifacts (dependency graph, control slice,
-	// compiled bytecode) are prepared lazily once and shared.
-	prepared := make(map[string]*kernelProgram, 8)
 	// One arena serves every launch of the program: reset (never freed)
 	// between launches, so after the first few launches warm the slabs
 	// the per-launch executions allocate nothing.
 	ar := newExecArena()
 	var sliceSum float64
 	for _, l := range prog.Launches {
-		k := prog.Module.Kernel(l.Kernel)
-		if k == nil {
-			return nil, fmt.Errorf("dca: launch references unknown kernel %q", l.Kernel)
+		f, err := factsOf(ctx, l.Kernel)
+		if err != nil {
+			return nil, err
 		}
 		execCtx, execSpan := obs.Start(ctx, "dca.exec",
-			obs.String("kernel", k.Name), obs.String("node", l.Node))
-		kr, hit, err := analyzeKernelLaunchHit(k, l, opts, func() *kernelProgram {
-			kp := prepared[k.Name]
-			if kp == nil {
-				_, compileSpan := obs.Start(execCtx, "dca.compile", obs.String("kernel", k.Name))
-				kp = prepareKernel(k, opts)
-				compileSpan.End()
-				prepared[k.Name] = kp
-			}
-			return kp
-		}, ar)
+			obs.String("kernel", f.k.Name), obs.String("node", l.Node))
+		kr, hit, err := analyzeKernelLaunch(execCtx, f, l, opts, ar)
 		ar.reset()
 		if err != nil {
 			execSpan.End()

@@ -111,6 +111,9 @@ func AnalyzeKernelContext(ctx context.Context, k *ptx.Kernel) (*KernelAnalysis, 
 type ModuleAnalysis struct {
 	// Kernels are the per-kernel analyses in module order.
 	Kernels []*KernelAnalysis
+	// Digests are the per-kernel content digests, parallel to Kernels
+	// (zero without a cache), from which the DCA derives its keys.
+	Digests []analysiscache.Digest
 	// Diags concatenates every kernel's diagnostics.
 	Diags []Diag
 	// MaxRegPressure is the highest total register pressure of any kernel.
@@ -132,19 +135,14 @@ type ModuleAnalysis struct {
 
 // AnalyzeModule analyses every kernel of the module.
 func AnalyzeModule(m *ptx.Module) (*ModuleAnalysis, error) {
-	return AnalyzeModuleCached(m, nil)
+	return AnalyzeModuleCachedContext(context.Background(), m, nil)
 }
 
-// AnalyzeModuleCached is AnalyzeModule memoizing per-kernel analyses in
-// the given content-addressed cache: a kernel body already analysed —
-// under any name, in any module — is not re-analysed. A nil cache
-// disables memoization.
-func AnalyzeModuleCached(m *ptx.Module, c *analysiscache.Cache) (*ModuleAnalysis, error) {
-	return AnalyzeModuleCachedContext(context.Background(), m, c)
-}
-
-// AnalyzeModuleCachedContext is AnalyzeModuleCached with span tracing
-// of the per-kernel abstract interpretation.
+// AnalyzeModuleCachedContext is AnalyzeModule memoizing per-kernel
+// analyses in the given content-addressed cache: a kernel body already
+// analysed — under any name, in any module — is not re-analysed. A nil
+// cache disables memoization. The per-kernel abstract interpretation is
+// traced, and ctx is checked between kernels.
 func AnalyzeModuleCachedContext(ctx context.Context, m *ptx.Module, c *analysiscache.Cache) (*ModuleAnalysis, error) {
 	if m == nil {
 		return nil, fmt.Errorf("ptxanalysis: nil module")
@@ -152,11 +150,15 @@ func AnalyzeModuleCachedContext(ctx context.Context, m *ptx.Module, c *analysisc
 	out := &ModuleAnalysis{}
 	var wBranch, wFP, wMem, wShared, wCoal float64
 	for _, k := range m.Kernels {
-		a, err := analyzeKernelCached(ctx, k, c)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		a, d, err := AnalyzeKernelCached(ctx, k, c)
 		if err != nil {
 			return nil, err
 		}
 		out.Kernels = append(out.Kernels, a)
+		out.Digests = append(out.Digests, d)
 		out.Diags = append(out.Diags, a.Diags...)
 		if a.Pressure.Total > out.MaxRegPressure {
 			out.MaxRegPressure = a.Pressure.Total
@@ -186,25 +188,29 @@ func AnalyzeModuleCachedContext(ctx context.Context, m *ptx.Module, c *analysisc
 	return out, nil
 }
 
-// analyzeKernelCached memoizes AnalyzeKernel by kernel content. On a hit
-// from a content-identical kernel under a different name, the analysis
-// is shallow-copied with its identity re-stamped; the heavyweight
-// structures (CFG, dominator trees, liveness, the absint fixpoint and
-// the block features — none of which carry the kernel name) are shared
-// read-only.
-func analyzeKernelCached(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache) (*KernelAnalysis, error) {
+// AnalyzeKernelCached memoizes AnalyzeKernelContext in c under the
+// kernel's content digest, which it returns for deriving further keys
+// (nil c: no memo, zero digest). It is the one per-kernel analysis that
+// the static features, the lint and the DCA all read. On a hit from a
+// content-identical kernel under a different name, the analysis is
+// shallow-copied with its identity re-stamped; the name-free structures
+// (CFG, dominator trees, liveness, the absint fixpoint, the block
+// features) are shared read-only. A disk hit carries no CFG.
+func AnalyzeKernelCached(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache) (*KernelAnalysis, analysiscache.Digest, error) {
 	if c == nil {
-		return AnalyzeKernelContext(ctx, k)
+		a, err := AnalyzeKernelContext(ctx, k)
+		return a, analysiscache.Digest{}, err
 	}
-	v, _, err := c.GetOrCompute(analysiscache.KernelKey("ptxa", k), func() (any, error) {
+	d := analysiscache.NewDigest(k)
+	v, _, err := c.GetOrCompute(d.Key("ptxa"), func() (any, error) {
 		return AnalyzeKernelContext(ctx, k)
 	})
 	if err != nil {
-		return nil, err
+		return nil, d, err
 	}
 	a := v.(*KernelAnalysis)
 	if a.Kernel == k.Name {
-		return a, nil
+		return a, d, nil
 	}
 	cp := *a
 	cp.Kernel = k.Name
@@ -212,7 +218,7 @@ func analyzeKernelCached(ctx context.Context, k *ptx.Kernel, c *analysiscache.Ca
 	for i := range cp.Diags {
 		cp.Diags[i].Kernel = k.Name
 	}
-	return &cp, nil
+	return &cp, d, nil
 }
 
 // FeatureNames names the static predictors Features returns, in order.

@@ -216,11 +216,3 @@ func NaturalLoops(g *cfg.Graph, dom *DomTree) []Loop {
 	}
 	return loops
 }
-
-// LoopsOf is the natural-loop analysis over a ready-built CFG with the
-// dominator computation folded in — the loop information the DCA
-// bytecode compiler consumes to resolve affine trip counts in closed
-// form.
-func LoopsOf(g *cfg.Graph) []Loop {
-	return NaturalLoops(g, Dominators(g))
-}

@@ -1,12 +1,13 @@
 package ptxanalysis
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 
+	"cnnperf/internal/analysiscache"
 	"cnnperf/internal/ptx"
-	"cnnperf/internal/ptx/cfg"
 )
 
 // Severity grades a diagnostic.
@@ -255,11 +256,22 @@ func (a *KernelAnalysis) lint(k *ptx.Kernel) []Diag {
 // diagnostics. Kernels whose CFG cannot be built (unresolved branch
 // targets) report the failure as an error-severity diagnostic.
 func LintKernel(k *ptx.Kernel) []Diag {
-	a, err := AnalyzeKernel(k)
+	return lintKernelCached(context.Background(), k, nil)
+}
+
+// lintKernelCached is LintKernel reading the analysis through c.
+func lintKernelCached(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache) []Diag {
+	a, _, err := AnalyzeKernelCached(ctx, k, c)
 	if err != nil {
-		return []Diag{{Severity: SevError, Kernel: k.Name, Line: -1, Code: CodeMalformed, Msg: err.Error()}}
+		return Malformed(k, err)
 	}
 	return a.Diags
+}
+
+// Malformed reports a kernel whose analysis failed (a structurally
+// broken body) as its single error-severity diagnostic.
+func Malformed(k *ptx.Kernel, err error) []Diag {
+	return []Diag{{Severity: SevError, Kernel: k.Name, Line: -1, Code: CodeMalformed, Msg: err.Error()}}
 }
 
 // Lint analyses every kernel of a module and returns the diagnostics
@@ -267,9 +279,17 @@ func LintKernel(k *ptx.Kernel) []Diag {
 // per-kernel Diags fields keep their severity-first order; this module
 // view is the deterministic contract CLI and serving output rely on.
 func Lint(m *ptx.Module) []Diag {
+	return LintCached(context.Background(), m, nil)
+}
+
+// LintCached is Lint reading each kernel's analysis through the
+// content-addressed cache c (nil: no memo), so a kernel the pipeline
+// has already analysed is not analysed again. The diagnostics are
+// identical to Lint's.
+func LintCached(ctx context.Context, m *ptx.Module, c *analysiscache.Cache) []Diag {
 	var out []Diag
 	for _, k := range m.Kernels {
-		out = append(out, LintKernel(k)...)
+		out = append(out, lintKernelCached(ctx, k, c)...)
 	}
 	SortDiags(out)
 	return out
@@ -290,39 +310,8 @@ func SortDiags(diags []Diag) {
 	})
 }
 
-// LintErrors computes only the error-severity diagnostics of a kernel —
-// exactly Errors(LintKernel(k)) — without the warning-only analyses
-// (dominators, post-dominators, loops, register pressure, instruction
-// mix). The only error-severity rules are the structural CFG failure
-// (PTXA008) and use-before-def registers (PTXA001), which need just the
-// CFG and the liveness dataflow. The DCA gate calls this on every
-// distinct kernel of a program, where the full lint would dominate a
-// cold-cache analysis.
+// LintErrors returns the error-severity diagnostics of a kernel: the
+// findings that make the dynamic code analysis reject it.
 func LintErrors(k *ptx.Kernel) []Diag {
-	if len(k.Body) == 0 {
-		return nil // the empty-kernel diagnostic is warning-severity
-	}
-	g, err := cfg.Build(k)
-	if err != nil {
-		return []Diag{{
-			Severity: SevError, Kernel: k.Name, Line: -1, Code: CodeMalformed,
-			Msg: fmt.Sprintf("ptxanalysis: %v", err),
-		}}
-	}
-	live := ComputeLiveness(k, g)
-	regs := make([]string, 0, len(live.UseBeforeDef))
-	for r := range live.UseBeforeDef {
-		regs = append(regs, r)
-	}
-	sort.Strings(regs)
-	diags := make([]Diag, 0, len(regs))
-	for _, r := range regs {
-		diags = append(diags, Diag{
-			Severity: SevError, Kernel: k.Name, Line: live.UseBeforeDef[r], Code: CodeUseBeforeDef,
-			Msg: fmt.Sprintf("register %s may be read before it is written", r),
-		})
-	}
-	// Match LintKernel's final ordering: within one severity, by line.
-	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Line < diags[j].Line })
-	return diags
+	return Errors(LintKernel(k))
 }

@@ -68,34 +68,3 @@ func UnmarshalKernelAnalysis(b []byte) (*KernelAnalysis, error) {
 		Diags:        j.Diags,
 	}, nil
 }
-
-const diagsVersion = 1
-
-type diagsJSON struct {
-	Version int    `json:"version"`
-	Diags   []Diag `json:"diags"`
-}
-
-// MarshalDiags serialises a lint result (which may be empty but not
-// nil-ambiguous: an empty slice round-trips as empty).
-func MarshalDiags(diags []Diag) ([]byte, error) {
-	if diags == nil {
-		diags = []Diag{}
-	}
-	return json.Marshal(diagsJSON{Version: diagsVersion, Diags: diags})
-}
-
-// UnmarshalDiags reconstructs a persisted lint result.
-func UnmarshalDiags(b []byte) ([]Diag, error) {
-	var j diagsJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return nil, fmt.Errorf("ptxanalysis: decoding diags: %w", err)
-	}
-	if j.Version != diagsVersion {
-		return nil, fmt.Errorf("ptxanalysis: unsupported diags version %d (want %d)", j.Version, diagsVersion)
-	}
-	if j.Diags == nil {
-		j.Diags = []Diag{}
-	}
-	return j.Diags, nil
-}

@@ -84,42 +84,3 @@ func TestKernelAnalysisRejections(t *testing.T) {
 		}
 	}
 }
-
-func TestDiagsRoundTrip(t *testing.T) {
-	// A kernel with real diagnostics.
-	k := parseKernel(t, "add.s32 %r2, %r5, 1;\nret;")
-	diags := LintKernel(k)
-	if len(diags) == 0 {
-		t.Fatal("expected diagnostics from a use-before-def kernel")
-	}
-	for _, in := range [][]Diag{diags, {}, nil} {
-		b, err := MarshalDiags(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := UnmarshalDiags(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got == nil {
-			t.Fatal("UnmarshalDiags returned nil (must be empty slice)")
-		}
-		want := in
-		if want == nil {
-			want = []Diag{}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("diags round trip: got %+v, want %+v", got, want)
-		}
-		b2, err := MarshalDiags(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b, b2) {
-			t.Error("re-marshal is not byte-identical")
-		}
-	}
-	if _, err := UnmarshalDiags([]byte(`{"version":7}`)); err == nil {
-		t.Error("future diags version accepted")
-	}
-}

@@ -281,7 +281,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		}
 		target, module = "ptx", m
 	}
-	diags := ptxanalysis.Lint(module)
+	diags := ptxanalysis.LintCached(r.Context(), module, s.cache)
 	if diags == nil {
 		diags = []ptxanalysis.Diag{}
 	}
