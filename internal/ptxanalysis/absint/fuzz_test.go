@@ -1,6 +1,7 @@
 package absint
 
 import (
+	"os"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -11,36 +12,24 @@ import (
 	"cnnperf/internal/ptx/cfg"
 )
 
-// fuzzSeeds are whole PTX modules (the internal/ptx FuzzParse corpus
-// format) covering the shapes the abstract interpreter cares about:
-// affine tid indexing, constant and divergent branches, widened loops,
-// shared-memory strides, predicated defs, and broken fragments that
-// must die in the parser, never in the engine.
-var fuzzSeeds = []string{
-	".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k(\n.param .u64 p0\n)\n{\n" +
-		"ld.param.u64 %rd1, [p0];\nmov.u32 %r1, %tid.x;\nmul.wide.s32 %rd2, %r1, 4;\n" +
-		"add.s64 %rd3, %rd1, %rd2;\nld.global.f32 %f1, [%rd3];\nst.global.f32 [%rd3], %f1;\nret;\n}\n",
-	".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k()\n{\n" +
-		"mov.u32 %r1, 5;\nsetp.lt.s32 %p1, %r1, 3;\n@%p1 bra DEAD;\nret;\nDEAD:\nmov.u32 %r2, 1;\nret;\n}\n",
-	".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k()\n{\n" +
-		"mov.u32 %r1, %tid.x;\nsetp.lt.s32 %p1, %r1, 16;\n@%p1 bra SKIP;\nbar.sync 0;\nSKIP:\nret;\n}\n",
-	".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k(\n.param .u64 p0\n)\n{\n" +
-		"ld.param.u64 %rd1, [p0];\nmov.u32 %r1, 0;\nL:\nld.global.f32 %f1, [%rd1];\n" +
-		"add.s32 %r1, %r1, 1;\nsetp.lt.s32 %p1, %r1, %ntid.x;\n@%p1 bra L;\nret;\n}\n",
-	".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k()\n{\n" +
-		"mov.u32 %r1, %tid.x;\nmul.wide.s32 %rd1, %r1, 8;\nld.shared.f32 %f1, [%rd1];\nret;\n}\n",
-	".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k()\n{\n" +
-		"mov.u32 %r2, %tid.x;\nsetp.lt.s32 %p1, %r2, 4;\n@%p1 mov.u32 %r1, 2;\n" +
-		"add.s32 %r3, %r1, 1;\nst.global.u32 [%r2], %r3;\nret;\n}\n",
-	// Nested loops with a tid-dependent inner bound: widening territory.
-	".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k()\n{\n" +
-		"mov.u32 %r1, 0;\nOUTER:\nmov.u32 %r2, %tid.x;\nINNER:\nadd.s32 %r2, %r2, 1;\n" +
-		"setp.lt.s32 %p1, %r2, 64;\n@%p1 bra INNER;\nadd.s32 %r1, %r1, 1;\n" +
-		"setp.lt.s32 %p2, %r1, 8;\n@%p2 bra OUTER;\nret;\n}\n",
-	// Broken fragments: the parser rejects them, Analyze never runs.
-	".version 6.0\n.address_size banana\n",
-	"garbage line\n",
-	".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k(\n.param .u64 p\n)\n{\nbra missing;\n}\n",
+// seedHeader starts each entry of testdata/seeds.txt: a line "-- what
+// the seed covers --" followed by the seed's exact bytes.
+var seedHeader = regexp.MustCompile(`(?m)^-- .* --\n`)
+
+// fuzzSeeds loads the seed corpus from testdata/seeds.txt: whole PTX
+// modules (the internal/ptx FuzzParse corpus format) covering the
+// shapes the abstract interpreter cares about — affine tid indexing,
+// constant and divergent branches, widened loops, shared-memory
+// strides, predicated defs — and broken fragments that must die in the
+// parser, never in the engine. The static-pass golden test in
+// internal/ptxanalysis reads the same file.
+func fuzzSeeds(tb testing.TB) []string {
+	tb.Helper()
+	data, err := os.ReadFile("testdata/seeds.txt")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return seedHeader.Split(string(data), -1)[1:]
 }
 
 // FuzzAbsint feeds arbitrary byte soup through parse → cfg → Analyze.
@@ -49,7 +38,7 @@ var fuzzSeeds = []string{
 // keep its result shape consistent with the CFG, and must be fully
 // deterministic run to run.
 func FuzzAbsint(f *testing.F) {
-	for _, s := range fuzzSeeds {
+	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -141,7 +130,7 @@ func renameRegs(src string) (string, map[string]string) {
 // leave branch classes, access classifications, undef-use lines, entry
 // lattice values, and the iteration/widening counters untouched.
 func TestRenameInvariance(t *testing.T) {
-	for i, src := range fuzzSeeds {
+	for i, src := range fuzzSeeds(t) {
 		m1, err := ptx.Parse(src)
 		if err != nil {
 			continue
