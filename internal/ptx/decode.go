@@ -1,6 +1,7 @@
 package ptx
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -65,4 +66,137 @@ func hasDestClass(c Class) bool {
 		return false
 	}
 	return true
+}
+
+// SrcKind classifies a decoded source operand.
+type SrcKind uint8
+
+const (
+	// SrcOther is any operand text without a value: a label, a
+	// parameter name, a bracketed reference naming no register, or an
+	// unparsable immediate.
+	SrcOther SrcKind = iota
+	// SrcReg is a virtual register, read directly or as the address of
+	// a memory reference ("[%rd1+4]").
+	SrcReg
+	// SrcSpecial is a read-only hardware register such as "%tid.x".
+	SrcSpecial
+	// SrcImm is a decimal integer immediate.
+	SrcImm
+	// SrcFloat is a "0f"/"0F" immediate whose hex bit pattern parses.
+	SrcFloat
+)
+
+// Src is one decoded source operand.
+type Src struct {
+	// Kind says which of the fields below carries the value.
+	Kind SrcKind
+	// Reg is the register id (SrcReg only).
+	Reg int32
+	// Imm is the decimal value (SrcImm) or the bit pattern (SrcFloat).
+	Imm int64
+	// Text is the operand with surrounding space trimmed.
+	Text string
+}
+
+// DecodedInst is one instruction of a DecodedKernel.
+type DecodedInst struct {
+	// Op is Decode(Opcode).
+	Op OpInfo
+	// Guard is the register id of the guard predicate, Dest the id of
+	// Instruction.Dest() exactly as written, and Addr the id of the
+	// register in the first bracketed operand (destination included);
+	// each is -1 when absent.
+	Guard, Dest, Addr int32
+	// Srcs are Instruction.Sources(), decoded.
+	Srcs []Src
+}
+
+// DecodedKernel is a kernel body decoded once for the static passes:
+// one opcode record per instruction and one dense id per register, so
+// that passes revisiting instructions work on ints instead of
+// re-splitting opcode and operand strings.
+type DecodedKernel struct {
+	// Kernel is the decoded kernel.
+	Kernel *Kernel
+	// Insts parallels Kernel.Body.
+	Insts []DecodedInst
+	// Regs names the register ids. Ids below NumOperandRegs number the
+	// registers named by a guard, a destination or a source, in first
+	// appearance scanning each instruction's guard, then destination,
+	// then sources. Higher ids name registers that appear only inside a
+	// bracketed destination operand.
+	Regs           []string
+	NumOperandRegs int
+}
+
+// DecodeKernel decodes the body of k.
+func DecodeKernel(k *Kernel) *DecodedKernel {
+	// Generated bodies name about one fresh register per instruction.
+	d := &DecodedKernel{Kernel: k, Insts: make([]DecodedInst, len(k.Body)), Regs: make([]string, 0, len(k.Body))}
+	ids := make(map[string]int32, len(k.Body))
+	intern := func(r string) int32 {
+		id, ok := ids[r]
+		if !ok {
+			id = int32(len(d.Regs))
+			ids[r] = id
+			d.Regs = append(d.Regs, r)
+		}
+		return id
+	}
+	nsrc := 0
+	for i := range k.Body {
+		nsrc += len(k.Body[i].Operands)
+	}
+	srcs := make([]Src, 0, nsrc)
+	for i := range k.Body {
+		in := &k.Body[i]
+		di := &d.Insts[i]
+		di.Op = Decode(in.Opcode)
+		di.Guard, di.Dest, di.Addr = -1, -1, -1
+		if in.Pred != "" {
+			di.Guard = intern(in.Pred)
+		}
+		ops := in.Operands
+		if di.Op.Dest && len(ops) > 0 {
+			if ops[0] != "" {
+				di.Dest = intern(ops[0])
+			}
+			ops = ops[1:]
+		}
+		start := len(srcs)
+		for _, op := range ops {
+			s := Src{Reg: -1, Text: strings.TrimSpace(op)}
+			switch r := RegOperand(op); {
+			case r != "":
+				s.Kind, s.Reg = SrcReg, intern(r)
+			case IsSpecialReg(s.Text):
+				s.Kind = SrcSpecial
+			case strings.HasPrefix(s.Text, "0f") || strings.HasPrefix(s.Text, "0F"):
+				if bits, err := strconv.ParseUint(s.Text[2:], 16, 64); err == nil {
+					s.Kind, s.Imm = SrcFloat, int64(bits)
+				}
+			case s.Text != "" && strings.IndexByte("+-0123456789", s.Text[0]) >= 0:
+				// The guard spares ParseInt's error allocation on text it
+				// must reject anyway.
+				if v, err := strconv.ParseInt(s.Text, 10, 64); err == nil {
+					s.Kind, s.Imm = SrcImm, v
+				}
+			}
+			srcs = append(srcs, s)
+		}
+		di.Srcs = srcs[start:len(srcs):len(srcs)]
+	}
+	d.NumOperandRegs = len(d.Regs)
+	for i := range k.Body {
+		for _, op := range k.Body[i].Operands {
+			if strings.HasPrefix(strings.TrimSpace(op), "[") {
+				if r := RegOperand(op); r != "" {
+					d.Insts[i].Addr = intern(r)
+				}
+				break
+			}
+		}
+	}
+	return d
 }

@@ -2,7 +2,6 @@ package ptxanalysis
 
 import (
 	"cnnperf/internal/ptx"
-	"cnnperf/internal/ptx/cfg"
 	"cnnperf/internal/ptxanalysis/absint"
 )
 
@@ -44,17 +43,18 @@ type BlockFeatures struct {
 
 // computeBlockFeatures joins the CFG, the liveness solution and the
 // abstract-interpretation facts into one feature record per block.
-func computeBlockFeatures(k *ptx.Kernel, g *cfg.Graph, live *Liveness, abs *absint.Result) []BlockFeatures {
-	out := make([]BlockFeatures, len(g.Blocks))
-	for bi, b := range g.Blocks {
+func computeBlockFeatures(p *kernelPasses) []BlockFeatures {
+	abs := p.abs
+	out := make([]BlockFeatures, len(p.g.Blocks))
+	for bi, b := range p.g.Blocks {
 		bf := &out[bi]
 		bf.Block, bf.Start, bf.End = bi, b.Start, b.End
 		bf.Instructions = b.End - b.Start
 		for i := b.Start; i < b.End; i++ {
-			bf.PerClass[k.Body[i].Class()]++
+			bf.PerClass[p.d.Insts[i].Op.Class]++
 		}
 		bf.Branch = abs.Branch[bi].Class
-		bf.LiveIn = len(live.LiveIn[bi])
+		bf.LiveIn = p.live.LiveIn[bi].Len()
 		bf.Reached = abs.Reached[bi]
 	}
 	for _, acc := range abs.Accesses {

@@ -147,9 +147,9 @@ func Errors(diags []Diag) []Diag {
 	return out
 }
 
-// lint derives the diagnostics of one analysed kernel. It assumes the
-// analysis fields (CFG, Dom, PostDom, Loops, Live) are populated.
-func (a *KernelAnalysis) lint(k *ptx.Kernel) []Diag {
+// lint derives the diagnostics of one analysed kernel.
+func (p *kernelPasses) lint() []Diag {
+	k := p.d.Kernel
 	var diags []Diag
 	add := func(sev Severity, line int, code, format string, args ...any) {
 		diags = append(diags, Diag{
@@ -159,29 +159,29 @@ func (a *KernelAnalysis) lint(k *ptx.Kernel) []Diag {
 	}
 
 	// PTXA001 use-before-def.
-	regs := make([]string, 0, len(a.Live.UseBeforeDef))
-	for r := range a.Live.UseBeforeDef {
+	regs := make([]string, 0, len(p.live.UseBeforeDef))
+	for r := range p.live.UseBeforeDef {
 		regs = append(regs, r)
 	}
 	sort.Strings(regs)
 	for _, r := range regs {
-		add(SevError, a.Live.UseBeforeDef[r], CodeUseBeforeDef,
+		add(SevError, p.live.UseBeforeDef[r], CodeUseBeforeDef,
 			"register %s may be read before it is written", r)
 	}
 
 	// PTXA002 dead stores.
-	for _, i := range a.Live.DeadDefs {
+	for _, i := range p.live.DeadDefs {
 		add(SevWarning, i, CodeDeadStore,
-			"value of %s defined by %q is never used", k.Body[i].Dest(), k.Body[i].Opcode)
+			"value of %s defined by %q is never used", p.d.Regs[p.d.Insts[i].Dest], k.Body[i].Opcode)
 	}
 
 	// PTXA003 unreachable blocks.
-	reach := a.CFG.Reachable()
+	reach := p.g.Reachable()
 	for bi, ok := range reach {
 		if !ok {
-			add(SevWarning, a.CFG.Blocks[bi].Start, CodeUnreachable,
+			add(SevWarning, p.g.Blocks[bi].Start, CodeUnreachable,
 				"basic block %d (instructions %d-%d) is unreachable from the kernel entry",
-				bi, a.CFG.Blocks[bi].Start, a.CFG.Blocks[bi].End-1)
+				bi, p.g.Blocks[bi].Start, p.g.Blocks[bi].End-1)
 		}
 	}
 
@@ -191,7 +191,7 @@ func (a *KernelAnalysis) lint(k *ptx.Kernel) []Diag {
 	// edge from outside the interval to a block inside it other than the
 	// header side-steps the loop entry.
 	intervals := make(map[int]int) // header -> furthest tail
-	for _, e := range a.CFG.BackEdges() {
+	for _, e := range p.g.BackEdges() {
 		if e[0] > intervals[e[1]] {
 			intervals[e[1]] = e[0]
 		}
@@ -203,7 +203,7 @@ func (a *KernelAnalysis) lint(k *ptx.Kernel) []Diag {
 	sort.Ints(headers)
 	for _, head := range headers {
 		tail := intervals[head]
-		for bi, b := range a.CFG.Blocks {
+		for bi, b := range p.g.Blocks {
 			if bi >= head && bi <= tail {
 				continue
 			}
@@ -220,24 +220,24 @@ func (a *KernelAnalysis) lint(k *ptx.Kernel) []Diag {
 	// PTXA005 barriers in potentially divergent regions: a bar.sync that
 	// does not post-dominate the entry block is skipped by some threads
 	// on some path — a hang hazard under intra-block divergence.
-	for i, in := range k.Body {
-		if !ptx.IsBarrier(in.Opcode) {
+	for i := range p.d.Insts {
+		if !p.d.Insts[i].Op.Barrier {
 			continue
 		}
-		b := a.CFG.BlockOf(i)
-		if !a.PostDom.Dominates(b, 0) || in.Pred != "" {
+		b := p.g.BlockOf(i)
+		if !p.postDom.Dominates(b, 0) || p.d.Insts[i].Guard >= 0 {
 			add(SevWarning, i, CodeBarrierDivergent,
-				"%s at a point not all threads of the block must reach (divergence hazard)", in.Opcode)
+				"%s at a point not all threads of the block must reach (divergence hazard)", k.Body[i].Opcode)
 		}
 	}
 
 	// PTXA009-PTXA014: the abstract-interpretation findings.
-	a.lintAbsint(k, add)
+	p.lintAbsint(add)
 
 	// PTXA007 irreducible back edges (no natural loop).
-	for _, e := range a.CFG.BackEdges() {
-		if !a.Dom.Dominates(e[1], e[0]) {
-			add(SevWarning, a.CFG.Blocks[e[0]].End-1, CodeIrreducibleLoop,
+	for _, e := range p.g.BackEdges() {
+		if !p.dom.Dominates(e[1], e[0]) {
+			add(SevWarning, p.g.Blocks[e[0]].End-1, CodeIrreducibleLoop,
 				"back edge from block %d to block %d whose target does not dominate its source (irreducible loop)",
 				e[0], e[1])
 		}

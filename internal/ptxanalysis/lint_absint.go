@@ -11,9 +11,8 @@ import (
 // change which kernels the pipeline accepts.
 
 // lintAbsint appends the dataflow-derived diagnostics of one kernel.
-// Assumes a.Abs, a.CFG, a.PostDom and a.Loops are populated.
-func (a *KernelAnalysis) lintAbsint(k *ptx.Kernel, add func(sev Severity, line int, code, format string, args ...any)) {
-	abs := a.Abs
+func (p *kernelPasses) lintAbsint(add func(sev Severity, line int, code, format string, args ...any)) {
+	k, abs := p.d.Kernel, p.abs
 
 	// PTXA009: a branch whose guard the value analysis decides — the
 	// condition is constant for every parameter and thread assignment.
@@ -59,21 +58,21 @@ func (a *KernelAnalysis) lintAbsint(k *ptx.Kernel, add func(sev Severity, line i
 	// classic data-dependent-divergence hang. (PTXA005 flags the
 	// structural form; this one proves the controlling condition is
 	// actually thread-dependent.)
-	for i, in := range k.Body {
-		if !ptx.IsBarrier(in.Opcode) {
+	for i := range p.d.Insts {
+		if !p.d.Insts[i].Op.Barrier {
 			continue
 		}
-		bb := a.CFG.BlockOf(i)
+		bb := p.g.BlockOf(i)
 		for ci, br := range abs.Branch {
 			if br.Class != absint.BranchDivergent {
 				continue
 			}
-			if a.PostDom.Dominates(bb, ci) {
+			if p.postDom.Dominates(bb, ci) {
 				continue // the barrier is reached whichever way ci goes
 			}
 			ctrl := false
-			for _, s := range a.CFG.Blocks[ci].Succs {
-				if a.PostDom.Dominates(bb, s) {
+			for _, s := range p.g.Blocks[ci].Succs {
+				if p.postDom.Dominates(bb, s) {
 					ctrl = true
 					break
 				}
@@ -81,7 +80,7 @@ func (a *KernelAnalysis) lintAbsint(k *ptx.Kernel, add func(sev Severity, line i
 			if ctrl {
 				add(SevWarning, i, CodeDivergentBarrier,
 					"%s is control-dependent on the thread-dependent branch at line %d (divergence hang hazard)",
-					in.Opcode, br.Line)
+					k.Body[i].Opcode, br.Line)
 				break // one finding per barrier
 			}
 		}
@@ -92,38 +91,35 @@ func (a *KernelAnalysis) lintAbsint(k *ptx.Kernel, add func(sev Severity, line i
 	// re-read every iteration and the load is hoistable. A load inside
 	// nested loops is reported once.
 	flagged := make(map[int]bool)
-	for _, l := range a.Loops {
-		inLoop := make(map[int]bool, len(l.Blocks))
+	definedInLoop := make(RegSet, (len(p.d.Regs)+63)/64)
+	for _, l := range p.loops {
+		clear(definedInLoop)
 		for _, bi := range l.Blocks {
-			inLoop[bi] = true
-		}
-		definedInLoop := make(map[string]bool)
-		for _, bi := range l.Blocks {
-			b := a.CFG.Blocks[bi]
+			b := p.g.Blocks[bi]
 			for i := b.Start; i < b.End; i++ {
-				if d := k.Body[i].Dest(); d != "" {
-					definedInLoop[d] = true
+				if d := p.d.Insts[i].Dest; d >= 0 {
+					definedInLoop.add(d)
 				}
 			}
 		}
 		for _, bi := range l.Blocks {
-			b := a.CFG.Blocks[bi]
+			b := p.g.Blocks[bi]
 			for i := b.Start; i < b.End; i++ {
-				in := k.Body[i]
-				c := in.Class()
-				if (c != ptx.ClassLoad && c != ptx.ClassLoadShared) || in.Pred != "" {
+				in := &p.d.Insts[i]
+				c := in.Op.Class
+				if (c != ptx.ClassLoad && c != ptx.ClassLoadShared) || in.Guard >= 0 {
 					continue
 				}
-				if absint.AccessSpaceOf(in.Opcode) == absint.SpaceParam {
+				if absint.AccessSpaceOf(k.Body[i].Opcode) == absint.SpaceParam {
 					continue
 				}
-				r := absint.AddrRegOf(&in)
-				if r == "" || definedInLoop[r] || flagged[i] {
+				r := in.Addr
+				if r < 0 || definedInLoop.Has(r) || flagged[i] {
 					continue
 				}
 				flagged[i] = true
 				add(SevInfo, i, CodeLoopInvariantLoad,
-					"load address %s is invariant in the loop at depth %d: the load is hoistable", r, l.Depth)
+					"load address %s is invariant in the loop at depth %d: the load is hoistable", p.d.Regs[r], l.Depth)
 			}
 		}
 	}
@@ -131,12 +127,12 @@ func (a *KernelAnalysis) lintAbsint(k *ptx.Kernel, add func(sev Severity, line i
 	// PTXA013: a block every structural path can reach but no value
 	// assignment does — the constant-guard pruning of the abstract
 	// interpreter proved all its incoming edges infeasible.
-	reach := a.CFG.Reachable()
+	reach := p.g.Reachable()
 	for bi, structurally := range reach {
 		if structurally && !abs.Reached[bi] {
-			add(SevWarning, a.CFG.Blocks[bi].Start, CodeUnreachableByValue,
+			add(SevWarning, p.g.Blocks[bi].Start, CodeUnreachableByValue,
 				"basic block %d (instructions %d-%d) is unreachable for every parameter and thread assignment",
-				bi, a.CFG.Blocks[bi].Start, a.CFG.Blocks[bi].End-1)
+				bi, p.g.Blocks[bi].Start, p.g.Blocks[bi].End-1)
 		}
 	}
 }

@@ -6,8 +6,7 @@ import (
 )
 
 // Persistent serialization of analysis artifacts. A persisted
-// KernelAnalysis is a reduced view: the heavyweight in-memory
-// structures (CFG, dominator trees, liveness, the absint fixpoint) are
+// KernelAnalysis is a reduced view: the in-memory CFG and loops are
 // deliberately dropped — every consumer outside this package reads only
 // the plain summary fields kept here, and module aggregation treats the
 // dropped pointers as optional, so a disk-loaded analysis behaves
@@ -45,7 +44,7 @@ func MarshalKernelAnalysis(a *KernelAnalysis) ([]byte, error) {
 }
 
 // UnmarshalKernelAnalysis reconstructs a persisted analysis. The result
-// carries nil CFG/Dom/PostDom/Loops/Live/Abs, like the reduced views
+// carries nil CFG and Loops, like the reduced views
 // already flowing through the pipeline.
 func UnmarshalKernelAnalysis(b []byte) (*KernelAnalysis, error) {
 	var j kernelAnalysisJSON
