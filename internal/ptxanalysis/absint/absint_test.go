@@ -286,3 +286,22 @@ ret;
 		t.Fatalf("iterations %d at cap %d", r.Iterations, cap)
 	}
 }
+
+// TestConstBranchToTrailingLabel: a label after the last instruction
+// has no block. A constant guard branching to it must be classified,
+// not index past the CFG; either direction's only edge is the
+// fallthrough, which stays feasible.
+func TestConstBranchToTrailingLabel(t *testing.T) {
+	for _, c := range []struct {
+		guard string
+		taken bool
+	}{{"1", true}, {"2", false}} {
+		r := analyze(t, "\tmov.u32 %r1, 1;\n\tsetp.eq.s32 %p1, %r1, "+c.guard+";\n\t@%p1 bra END;\n\tret;\nEND:\n")
+		if br := r.Branch[0]; !br.Const || br.Taken != c.taken {
+			t.Errorf("guard %%r1 == %s: branch %+v, want constant, taken=%t", c.guard, br, c.taken)
+		}
+		if !r.Reached[1] {
+			t.Errorf("guard %%r1 == %s: fallthrough block unreached", c.guard)
+		}
+	}
+}
