@@ -89,18 +89,28 @@ func TestPoolFirstErrorCancels(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	var started atomic.Int32
+	zeroStarted := make(chan struct{})
+	// Item 0 holds one worker until the run is cancelled, and item 1
+	// fails only once item 0 is running, so both workers are busy until
+	// the error: items 0 and 1 are the only ones that can start, and
+	// every later item finds the run cancelled.
 	err := p.ForEach(context.Background(), 100, func(ctx context.Context, i int) error {
 		started.Add(1)
-		if i == 1 {
+		switch i {
+		case 0:
+			close(zeroStarted)
+		case 1:
+			<-zeroStarted
 			return fmt.Errorf("boom at %d", i)
 		}
+		<-ctx.Done()
 		return nil
 	})
 	if err == nil || err.Error() != "boom at 1" {
 		t.Fatalf("want first error, got %v", err)
 	}
-	if n := started.Load(); n >= 100 {
-		t.Fatalf("error did not stop submissions: %d items started", n)
+	if n := started.Load(); n != 2 {
+		t.Fatalf("error did not stop submissions: %d items started, want 2", n)
 	}
 }
 
