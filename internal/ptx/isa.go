@@ -145,16 +145,20 @@ func ClassOf(opcode string) Class {
 	return c
 }
 
+// The predicates below read the memoized Decode, so per-instruction
+// callers (CFG construction, validation, slicing) look a cached opcode
+// spelling up instead of re-splitting it on every call.
+
 // IsBranch reports whether the opcode transfers control.
-func IsBranch(opcode string) bool { return ClassOf(opcode) == ClassBranch }
+func IsBranch(opcode string) bool { return Decode(opcode).Branch }
 
 // IsBarrier reports whether the opcode is a synchronisation barrier.
-func IsBarrier(opcode string) bool { return ClassOf(opcode) == ClassSync }
+func IsBarrier(opcode string) bool { return Decode(opcode).Barrier }
 
 // IsExit reports whether the opcode terminates the thread.
-func IsExit(opcode string) bool { return ClassOf(opcode) == ClassControl }
+func IsExit(opcode string) bool { return Decode(opcode).Exit }
 
 // HasDest reports whether the first operand of the opcode is a
 // destination register (everything except stores, branches, barriers and
 // control opcodes in our subset).
-func HasDest(opcode string) bool { return hasDestClass(ClassOf(opcode)) }
+func HasDest(opcode string) bool { return Decode(opcode).Dest }
