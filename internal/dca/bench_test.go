@@ -1,7 +1,6 @@
 package dca
 
 import (
-	"fmt"
 	"testing"
 
 	"cnnperf/internal/ptx"
@@ -72,10 +71,10 @@ func heaviestLaunch(b testing.TB, prog *ptxgen.Program) (*ptx.Kernel, ptxgen.Lau
 	return best, bestL
 }
 
-// BenchmarkExecuteThread measures the reference tree-walking
-// interpreter on the heaviest single-thread workload in the resnet50v2
-// schedule; BenchmarkBatchedExec/lanes=1 is the compiled engine on the
-// same thread.
+// BenchmarkExecuteThread measures both engines on the heaviest
+// single-thread workload in the resnet50v2 schedule: the reference
+// tree-walking interpreter, and the compiled engine running through one
+// warm frame (zero allocations per run, as TestZeroAlloc pins).
 func BenchmarkExecuteThread(b *testing.B) {
 	prog := compileZoo(b, "resnet50v2")
 	k, l := heaviestLaunch(b, prog)
@@ -90,63 +89,23 @@ func BenchmarkExecuteThread(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkBatchedExec measures the warp-style batched engine on the
-// heaviest resnet50v2 launch across lane populations.
-// Custom metrics report per-thread cost, aggregate thread throughput
-// and the realized batch occupancy (lanes per control-flow segment).
-// All subbenches reuse one warmed arena, so steady-state iterations
-// allocate nothing — the committed TestZeroAlloc pins that.
-func BenchmarkBatchedExec(b *testing.B) {
-	prog := compileZoo(b, "resnet50v2")
-	k, l := heaviestLaunch(b, prog)
-	slice := BuildControlSlice(k, BuildDepGraph(k))
-	ck, err := Compile(k, slice, ExecOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mkCtxs := func(lanes int) []ThreadCtx {
-		ctxs := make([]ThreadCtx, lanes)
-		for i := range ctxs {
-			ctxs[i] = ThreadCtx{
-				Tid:    int64(i % l.BlockX),
-				CtaID:  int64((i / l.BlockX) % l.GridX),
-				NTid:   int64(l.BlockX),
-				NCtaID: int64(l.GridX),
+	b.Run("compiled", func(b *testing.B) {
+		ck, err := Compile(k, slice, ExecOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fr := &frame{}
+		if _, err := ck.execute(k, l.Params, ctx, fr, nil); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ck.execute(k, l.Params, ctx, fr, nil); err != nil {
+				b.Fatal(err)
 			}
 		}
-		return ctxs
-	}
-	for _, lanes := range []int{1, 2, 8, 32, 256} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			ctxs := mkCtxs(lanes)
-			out := make([]LaneResult, lanes)
-			ar := newExecArena()
-			ck.executeBatch(k, l.Params, ctxs, nil, ar, out)
-			ar.reset()
-			for i := range out {
-				if out[i].Err != nil {
-					b.Fatal(out[i].Err)
-				}
-			}
-			before := BatchStats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ck.executeBatch(k, l.Params, ctxs, nil, ar, out)
-				ar.reset()
-			}
-			b.StopTimer()
-			d := statsDelta(before, BatchStats())
-			threads := float64(b.N) * float64(lanes)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/threads, "ns/thread")
-			b.ReportMetric(threads/b.Elapsed().Seconds(), "threads/s")
-			if d.Segments > 0 {
-				b.ReportMetric(float64(d.LaneSegments)/float64(d.Segments), "lanes/segment")
-			}
-		})
-	}
+	})
 }
 
 // BenchmarkSliceVsFull isolates the interpreter cost difference between

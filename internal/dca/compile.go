@@ -132,7 +132,7 @@ type affineLoop struct {
 // bytecode: opcodes interned to an enum, register names resolved to
 // frame slots, immediates and special registers pre-decoded, branch
 // targets pre-resolved to pc indices, and per-pc classes precomputed.
-// A compiled kernel is immutable and safe for concurrent ExecuteBatch
+// A compiled kernel is immutable and safe for concurrent Execute
 // calls; the analysis cache shares one instance across content-identical
 // kernels (parameters are therefore bound by declaration position, not
 // by name).
@@ -154,18 +154,6 @@ type CompiledKernel struct {
 	maxSteps int64
 	regNames []string // slot -> register name, for error messages
 	badNames []string // refBad -> original operand text
-
-	// Batch layout, derived from the bytecode by computeLayout (never
-	// serialized — the decoder recomputes it). varying[slot] marks slots
-	// whose value can differ between lanes of one batch; slotLoc[slot]
-	// is the slot's index within its frame — the per-batch uniform frame
-	// or the struct-of-arrays varying lane arrays. scalar[pc] marks
-	// instructions the batched engine executes once per batch.
-	varying []bool
-	slotLoc []int32
-	scalar  []bool
-	nuslots int
-	nvslots int
 }
 
 // Compile lowers the kernel's control slice to bytecode under the given
@@ -232,75 +220,7 @@ func compile(k *ptx.Kernel, slice *ControlSlice, opts ExecOptions, g *CFG, loops
 	}
 	c.slots = len(c.regNames)
 	c.detectLoops(g, loops)
-	c.computeLayout()
 	return c, nil
-}
-
-// refVaries reports whether an operand reference can resolve to
-// different values for different lanes of one batch. %tid.x and
-// %ctaid.x always vary; %ntid.x and %nctaid.x are uniform because the
-// batched engine groups lanes by (NTid, NCtaID) up front.
-func refVaries(r ref, varying []bool) bool {
-	switch r.kind {
-	case refTid, refCtaID:
-		return true
-	case refSlot:
-		return varying[r.val]
-	}
-	return false
-}
-
-// computeLayout classifies every register slot as uniform (one value
-// per batch) or varying (one value per lane) and lays the slots out:
-// uniform slots index a per-batch frame, varying slots index contiguous
-// struct-of-arrays lane arrays. A slot is varying when any write to it
-// reads a varying source or sits under a varying guard — a monotone
-// fixpoint over the bytecode. The classification also marks the
-// instructions the batched engine can execute once per batch (scalar):
-// uniform guard, uniform destination, uniform sources. Unused operand
-// fields hold zero-valued refImm entries, so the blanket source check
-// is sound for every opcode.
-func (c *CompiledKernel) computeLayout() {
-	varying := make([]bool, c.slots)
-	for changed := true; changed; {
-		changed = false
-		for pc := range c.code {
-			if !c.interp[pc] {
-				continue
-			}
-			ci := &c.code[pc]
-			if ci.dst < 0 || varying[ci.dst] {
-				continue
-			}
-			if refVaries(ci.a, varying) || refVaries(ci.b, varying) || refVaries(ci.c, varying) ||
-				(ci.pred >= 0 && varying[ci.pred]) {
-				varying[ci.dst] = true
-				changed = true
-			}
-		}
-	}
-	c.varying = varying
-	c.slotLoc = make([]int32, c.slots)
-	c.nuslots, c.nvslots = 0, 0
-	for s, v := range varying {
-		if v {
-			c.slotLoc[s] = int32(c.nvslots)
-			c.nvslots++
-		} else {
-			c.slotLoc[s] = int32(c.nuslots)
-			c.nuslots++
-		}
-	}
-	c.scalar = make([]bool, len(c.code))
-	for pc := range c.code {
-		if !c.interp[pc] {
-			continue
-		}
-		ci := &c.code[pc]
-		c.scalar[pc] = !(ci.pred >= 0 && varying[ci.pred]) &&
-			!(ci.dst >= 0 && varying[ci.dst]) &&
-			!refVaries(ci.a, varying) && !refVaries(ci.b, varying) && !refVaries(ci.c, varying)
-	}
 }
 
 // compileInst lowers one interpreted instruction, mirroring the

@@ -23,8 +23,8 @@ func parseOne(t *testing.T, body string) *ptx.Kernel {
 	return m.Kernels[0]
 }
 
-// bothEngines executes one thread on the reference interpreter and as a
-// one-lane batch of the compiled bytecode, and requires identical counts
+// bothEngines executes one thread on the reference interpreter and on
+// the compiled bytecode, and requires identical counts
 // and identical error behavior (including the message) from both. It
 // returns the reference result.
 func bothEngines(t *testing.T, k *ptx.Kernel, params map[string]int64, ctx ThreadCtx, opts ExecOptions) (ExecResult, error) {
@@ -36,18 +36,18 @@ func bothEngines(t *testing.T, k *ptx.Kernel, params map[string]int64, ctx Threa
 	if cerr != nil {
 		t.Fatalf("Compile: %v", cerr)
 	}
-	got := ck.ExecuteBatch(k, params, []ThreadCtx{ctx})[0]
-	if (werr == nil) != (got.Err == nil) {
-		t.Fatalf("engines disagree on error: reference=%v batched=%v", werr, got.Err)
+	got, gerr := ck.Execute(k, params, ctx)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("engines disagree on error: reference=%v compiled=%v", werr, gerr)
 	}
 	if werr != nil {
-		if werr.Error() != got.Err.Error() {
-			t.Fatalf("error text diverged:\nreference: %v\nbatched: %v", werr, got.Err)
+		if werr.Error() != gerr.Error() {
+			t.Fatalf("error text diverged:\nreference: %v\ncompiled: %v", werr, gerr)
 		}
 		return want, werr
 	}
-	if got.Res != want {
-		t.Fatalf("counts diverged: reference=%+v batched=%+v", want, got.Res)
+	if got != want {
+		t.Fatalf("counts diverged: reference=%+v compiled=%+v", want, got)
 	}
 	return want, werr
 }
@@ -263,7 +263,7 @@ func TestCompiledReenteredLoop(t *testing.T) {
 
 // TestCompiledExecuteAllocsIndependentOfTripCount asserts the
 // steady-state property of the compiled engine: the per-call allocation
-// count of a one-lane batch does not grow with the number of
+// count of Execute does not grow with the number of
 // interpreter steps.
 func TestCompiledExecuteAllocsIndependentOfTripCount(t *testing.T) {
 	allocs := func(bound int64) float64 {
@@ -275,10 +275,9 @@ func TestCompiledExecuteAllocsIndependentOfTripCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctxs := []ThreadCtx{{NTid: 1, NCtaID: 1}}
 		return testing.AllocsPerRun(10, func() {
-			if out := ck.ExecuteBatch(k, nil, ctxs); out[0].Err != nil {
-				t.Fatal(out[0].Err)
+			if _, err := ck.Execute(k, nil, ThreadCtx{NTid: 1, NCtaID: 1}); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -312,8 +311,8 @@ func stripTime(r *Report) *Report {
 }
 
 // TestCompiledMatchesReferenceOnZoo is the zoo-wide equivalence gate:
-// with the batched compiled engine, AnalyzeProgram must reproduce the reference interpreter's reports byte for byte on every
-// CNN, with the analysis cache on and off. Byte-for-byte is literal:
+// with the compiled engine, AnalyzeProgram must reproduce the reference
+// interpreter's reports byte for byte on every CNN, with the analysis cache on and off. Byte-for-byte is literal:
 // beyond DeepEqual, every KernelReport must serialize to identical
 // bytes across engines. -short runs a 4-model subset.
 func TestCompiledMatchesReferenceOnZoo(t *testing.T) {
@@ -334,8 +333,8 @@ func TestCompiledMatchesReferenceOnZoo(t *testing.T) {
 			name string
 			opts Options
 		}{
-			{"batched", Options{BlockCounts: true}},
-			{"batched+cache", Options{Cache: analysiscache.New(0), BlockCounts: true}},
+			{"compiled", Options{BlockCounts: true}},
+			{"compiled+cache", Options{Cache: analysiscache.New(0), BlockCounts: true}},
 		}
 		for _, eng := range engines {
 			got, err := AnalyzeProgram(prog, eng.opts)

@@ -146,7 +146,7 @@ func AnalyzeKernelLaunch(k *ptx.Kernel, l ptxgen.Launch, opts Options) (KernelRe
 			return KernelReport{}, err
 		}
 	}
-	kr, _, err := analyzeKernelLaunch(context.Background(), f, l, opts, newExecArena())
+	kr, _, err := analyzeKernelLaunch(context.Background(), f, l, opts, &frame{})
 	return kr, err
 }
 
@@ -174,19 +174,19 @@ func (f *kernelFacts) prepare(ctx context.Context, opts Options) *kernelFacts {
 
 // analyzeKernelLaunch analyses one launch of the kernel f describes,
 // preparing its per-kernel artifacts on a cache miss and executing in
-// the reusable arena ar. It additionally reports whether the result
+// the reusable frame fr. It additionally reports whether the result
 // came out of the analysis cache, for span attribution.
-func analyzeKernelLaunch(ctx context.Context, f *kernelFacts, l ptxgen.Launch, opts Options, ar *execArena) (KernelReport, bool, error) {
+func analyzeKernelLaunch(ctx context.Context, f *kernelFacts, l ptxgen.Launch, opts Options, fr *frame) (KernelReport, bool, error) {
 	k := f.k
 	if opts.Cache == nil {
-		kr, err := analyzeKernelLaunchUncached(f.prepare(ctx, opts), l, opts, ar)
+		kr, err := analyzeKernelLaunchUncached(f.prepare(ctx, opts), l, opts, fr)
 		return kr, false, err
 	}
 	// GetOrCompute runs the closure on the calling goroutine, so the
-	// caller's arena never crosses goroutines; cached reports retain no
-	// arena-backed memory (BlockVisits is freshly allocated).
+	// caller's frame never crosses goroutines; cached reports retain no
+	// frame memory (BlockVisits is freshly allocated).
 	v, hit, err := opts.Cache.GetOrCompute(launchKey(f, l, opts), func() (any, error) {
-		kr, err := analyzeKernelLaunchUncached(f.prepare(ctx, opts), l, opts, ar)
+		kr, err := analyzeKernelLaunchUncached(f.prepare(ctx, opts), l, opts, fr)
 		if err != nil {
 			return nil, err
 		}
@@ -230,15 +230,6 @@ func launchKey(f *kernelFacts, l ptxgen.Launch, opts Options) string {
 		params.String())
 }
 
-// batchLayoutVersion versions the in-memory compiled-program memo key:
-// CompiledKernel instances are shared through the analysis cache, and a
-// process mixing binaries (or a cache warmed by an older layout pass)
-// must never hand bytecode without batch-layout metadata to the batched
-// engine. Version 2 introduced the uniform/varying slot layout. The
-// persistent serialization format is unversioned by this constant — the
-// decoder recomputes the layout from the bytecode.
-const batchLayoutVersion = 2
-
 // compiledKernel returns the bytecode form of the kernel's control
 // slice, memoized by kernel content and the executor knobs baked into
 // the compiled program. A nil return means the kernel cannot be
@@ -251,8 +242,10 @@ func compiledKernel(f *kernelFacts, loops []ptxanalysis.Loop, opts Options) *Com
 		}
 		return ck
 	}
+	// "layout=2" is a fixed part of the key: stores and snapshots
+	// written under it keep resolving to the same compiled programs.
 	key := f.d.Key("dcac",
-		fmt.Sprintf("full=%t;maxsteps=%d;layout=%d", opts.Exec.Full, opts.Exec.effectiveMaxSteps(), batchLayoutVersion))
+		fmt.Sprintf("full=%t;maxsteps=%d;layout=2", opts.Exec.Full, opts.Exec.effectiveMaxSteps()))
 	v, _, err := opts.Cache.GetOrCompute(key, func() (any, error) {
 		return compile(f.k, f.slice, opts.Exec, f.cfg, loops)
 	})
@@ -263,23 +256,11 @@ func compiledKernel(f *kernelFacts, loops []ptxanalysis.Loop, opts Options) *Com
 }
 
 // analyzeKernelLaunchUncached is the memoization-free analysis body.
-func analyzeKernelLaunchUncached(f *kernelFacts, l ptxgen.Launch, opts Options, ar *execArena) (KernelReport, error) {
+func analyzeKernelLaunchUncached(f *kernelFacts, l ptxgen.Launch, opts Options, fr *frame) (KernelReport, error) {
 	if f.cfgErr != nil { // structural validation (the gate subsumes it)
 		return KernelReport{}, f.cfgErr
 	}
 	k, slice := f.k, f.slice
-
-	// Block-count instrumentation: only the bytecode engine carries the
-	// per-instruction visit counters. Under Reference mode the bytecode
-	// is compiled on the side purely for the profile and each thread is
-	// replayed through a one-lane batch — the engines are differentially
-	// verified identical, so the replay cannot change the report — and a
-	// kernel the compiler rejects simply reports nil BlockVisits.
-	vck, engine := f.ck, f.ck
-	if opts.Exec.Reference {
-		engine = nil
-	}
-	visitsOK := true
 
 	rep := KernelReport{
 		Kernel:          k.Name,
@@ -297,63 +278,43 @@ func analyzeKernelLaunchUncached(f *kernelFacts, l ptxgen.Launch, opts Options, 
 	active := l.Threads
 	oob := total - active
 	runOob := oob > 0 && active <= total
-	wantVisits := opts.BlockCounts && vck != nil
 
+	// Block-count instrumentation: only the compiled engine carries the
+	// per-instruction visit counters, so a kernel the compiler rejects
+	// reports nil BlockVisits.
 	var inVisits, oobVisits []int64
-	if wantVisits {
-		inVisits = ar.i64.take(len(k.Body))
+	if opts.BlockCounts && f.ck != nil {
+		inVisits = fr.visitCounts(0, len(k.Body))
 		if runOob {
-			oobVisits = ar.i64.take(len(k.Body))
+			oobVisits = fr.visitCounts(1, len(k.Body))
 		}
+	}
+	visitsOK := true
+	// Engine selection: the compiled engine runs each representative
+	// thread. opts.Exec.Reference (or a compiler bailout) runs the
+	// reference interpreter instead; under Reference mode the compiled
+	// engine then replays the thread purely for its visit profile — the
+	// engines are differentially verified identical, so the replay
+	// cannot change the report.
+	runThread := func(tc ThreadCtx, visits []int64) (ExecResult, error) {
+		if f.ck != nil && !opts.Exec.Reference {
+			return f.ck.execute(k, l.Params, tc, fr, visits)
+		}
+		res, err := ExecuteThread(k, slice, l.Params, tc, opts.Exec)
+		if err == nil && visits != nil {
+			if _, verr := f.ck.execute(k, l.Params, tc, fr, visits); verr != nil {
+				visitsOK = false
+			}
+		}
+		return res, err
 	}
 	inCtx := ThreadCtx{CtaID: 0, Tid: 0, NTid: int64(l.BlockX), NCtaID: int64(l.GridX)}
 	oobCtx := ThreadCtx{CtaID: int64(l.GridX) - 1, Tid: int64(l.BlockX) - 1, NTid: int64(l.BlockX), NCtaID: int64(l.GridX)}
-
-	// Engine selection: the batched compiled engine is the default — the
-	// in-bounds and out-of-bounds representatives run as one two-lane
-	// batch, sharing every uniform computation. opts.Exec.Reference (or a
-	// compiler bailout) runs the reference tree-walking interpreter. Both
-	// produce identical results — the differential fuzz target and the
-	// zoo-wide equivalence tests enforce it.
-	var inRes, oobRes ExecResult
-	var inErr, oobErr error
-	if engine != nil {
-		var ctxs [2]ThreadCtx
-		var outs [2]LaneResult
-		var vis [2][]int64
-		ctxs[0], ctxs[1] = inCtx, oobCtx
-		vis[0], vis[1] = inVisits, oobVisits
-		nl := 1
-		if runOob {
-			nl = 2
-		}
-		if wantVisits {
-			engine.executeBatch(k, l.Params, ctxs[:nl], vis[:nl], ar, outs[:nl])
-		} else {
-			engine.executeBatch(k, l.Params, ctxs[:nl], nil, ar, outs[:nl])
-		}
-		inRes, inErr = outs[0].Res, outs[0].Err
-		if nl == 2 {
-			oobRes, oobErr = outs[1].Res, outs[1].Err
-		}
-	} else {
-		exec := func(tc ThreadCtx, visits []int64) (ExecResult, error) {
-			res, err := ExecuteThread(k, slice, l.Params, tc, opts.Exec)
-			if err == nil && visits != nil {
-				ctxs := [1]ThreadCtx{tc}
-				vis := [1][]int64{visits}
-				var out [1]LaneResult
-				vck.executeBatch(k, l.Params, ctxs[:], vis[:], ar, out[:])
-				if out[0].Err != nil {
-					visitsOK = false
-				}
-			}
-			return res, err
-		}
-		inRes, inErr = exec(inCtx, inVisits)
-		if inErr == nil && runOob {
-			oobRes, oobErr = exec(oobCtx, oobVisits)
-		}
+	inRes, inErr := runThread(inCtx, inVisits)
+	var oobRes ExecResult
+	var oobErr error
+	if inErr == nil && runOob {
+		oobRes, oobErr = runThread(oobCtx, oobVisits)
 	}
 	if inErr != nil {
 		return rep, fmt.Errorf("dca: kernel %s: %w", k.Name, inErr)
@@ -468,10 +429,9 @@ func AnalyzeProgramContext(ctx context.Context, prog *ptxgen.Program, opts Optio
 		lintSpan.End()
 		opts.SkipLint = true
 	}
-	// One arena serves every launch of the program: reset (never freed)
-	// between launches, so after the first few launches warm the slabs
-	// the per-launch executions allocate nothing.
-	ar := newExecArena()
+	// One frame serves every launch of the program, so once the largest
+	// kernel has warmed it the per-launch executions allocate nothing.
+	fr := &frame{}
 	var sliceSum float64
 	for _, l := range prog.Launches {
 		f, err := factsOf(ctx, l.Kernel)
@@ -480,8 +440,7 @@ func AnalyzeProgramContext(ctx context.Context, prog *ptxgen.Program, opts Optio
 		}
 		execCtx, execSpan := obs.Start(ctx, "dca.exec",
 			obs.String("kernel", f.k.Name), obs.String("node", l.Node))
-		kr, hit, err := analyzeKernelLaunch(execCtx, f, l, opts, ar)
-		ar.reset()
+		kr, hit, err := analyzeKernelLaunch(execCtx, f, l, opts, fr)
 		if err != nil {
 			execSpan.End()
 			return nil, err

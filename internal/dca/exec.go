@@ -80,7 +80,7 @@ func (o ExecOptions) effectiveMaxSteps() int64 {
 // ExecuteThread runs one thread through the kernel, evaluating only the
 // control slice (or everything under opts.Full) and counting every
 // instruction the thread would execute. This is the reference
-// interpreter; CompiledKernel.ExecuteBatch is the fast path and must
+// interpreter; CompiledKernel.Execute is the fast path and must
 // agree with it exactly.
 func ExecuteThread(k *ptx.Kernel, slice *ControlSlice, params map[string]int64, ctx ThreadCtx, opts ExecOptions) (res ExecResult, err error) {
 	maxSteps := opts.effectiveMaxSteps()

@@ -10,7 +10,7 @@ import (
 // Persistent serialization of the dynamic-code-analysis artifacts: the
 // per-launch KernelReport and the compiled bytecode. The bytecode
 // decoder validates every slot, target and enum against the invariants
-// the batched engine relies on — the hot loop indexes frames and prefix tables
+// the engine relies on — the hot loop indexes frames and prefix tables
 // without bounds checks, so a corrupt artifact must be rejected here,
 // never executed. Bump the version constants when the shapes change.
 
@@ -311,8 +311,5 @@ func UnmarshalCompiledKernel(b []byte) (*CompiledKernel, error) {
 		copy(al.hist[:], lj.Hist)
 		c.loops[pc] = al
 	}
-	// The batch layout is derived state, never serialized: recompute it
-	// so decoded bytecode is executable by the batched engine.
-	c.computeLayout()
 	return c, nil
 }

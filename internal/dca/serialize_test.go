@@ -58,11 +58,11 @@ func TestCompiledKernelRoundTrip(t *testing.T) {
 			if !bytes.Equal(b, b2) {
 				t.Error("re-marshal is not byte-identical")
 			}
-			want := ck.ExecuteBatch(k, params, ctxs)
-			have := got.ExecuteBatch(k, params, ctxs)
-			for i, tctx := range ctxs {
-				if !sameLane(want[i], have[i]) {
-					t.Fatalf("ctx %+v: original executes %+v, reconstruction %+v", tctx, want[i], have[i])
+			for _, tctx := range ctxs {
+				want, werr := ck.Execute(k, params, tctx)
+				have, herr := got.Execute(k, params, tctx)
+				if !sameRun(want, werr, have, herr) {
+					t.Fatalf("ctx %+v: original executes %+v (err %v), reconstruction %+v (err %v)", tctx, want, werr, have, herr)
 				}
 			}
 		})
@@ -180,23 +180,11 @@ func TestSerializeRejections(t *testing.T) {
 	})
 }
 
-// sameLane reports whether two lane outcomes agree on counts and on the
-// error decision and text.
-func sameLane(a, b LaneResult) bool {
-	if (a.Err == nil) != (b.Err == nil) {
-		return false
-	}
-	if a.Err != nil {
-		return a.Err.Error() == b.Err.Error()
-	}
-	return a.Res == b.Res
-}
-
 // FuzzCompiledKernelDecode: arbitrary bytes into the bytecode decoder
-// must never panic, and anything accepted must run on the batched
-// engine without panicking on a hostile-but-plausible launch — as the
-// in-bounds/out-of-bounds pair the analysis runs and as one lane per
-// thread, each lane of the pair reproducing its own one-lane run.
+// must never panic, and anything accepted must run on the engine
+// without panicking on a hostile-but-plausible launch — each thread of
+// the in-bounds/out-of-bounds pair the analysis runs, executed through
+// the one frame the pair shares, reproducing its fresh-frame run.
 func FuzzCompiledKernelDecode(f *testing.F) {
 	for _, tc := range serializeKernels {
 		src := ".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k(\n.param .u64 p0\n)\n{\n" + tc.body + "}\n"
@@ -233,10 +221,13 @@ func FuzzCompiledKernelDecode(f *testing.F) {
 			{CtaID: 0, Tid: 0, NTid: 32, NCtaID: 2},
 			{CtaID: 1, Tid: 31, NTid: 32, NCtaID: 2},
 		}
-		out := ck.ExecuteBatch(hostKernel, params, pair)
+		fr := &frame{}
 		for i, ctx := range pair {
-			if one := ck.ExecuteBatch(hostKernel, params, pair[i:i+1])[0]; !sameLane(out[i], one) {
-				t.Fatalf("lane %d (%+v): pair batch gives %+v, one-lane batch %+v", i, ctx, out[i], one)
+			shared, serr := ck.execute(hostKernel, params, ctx, fr, nil)
+			fresh, ferr := ck.Execute(hostKernel, params, ctx)
+			if !sameRun(shared, serr, fresh, ferr) {
+				t.Fatalf("thread %d (%+v): shared frame gives %+v (err %v), fresh frame %+v (err %v)",
+					i, ctx, shared, serr, fresh, ferr)
 			}
 		}
 	})

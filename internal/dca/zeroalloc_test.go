@@ -7,12 +7,13 @@ import (
 	"cnnperf/internal/ptx"
 )
 
-// TestZeroAlloc pins the allocation guarantee: once the arena is warm,
-// steady-state compiled execution — batched at any lane count, and a
-// single lane carrying a per-instruction visit profile (the block-count
-// path) — performs exactly zero heap allocations per run.
+// TestZeroAlloc pins the allocation guarantee: once the frame is warm,
+// steady-state compiled execution — batched_N runs N thread contexts
+// back to back through one frame, single runs one thread carrying a
+// per-instruction visit profile (the block-count path) — performs
+// exactly zero heap allocations per run.
 // The gate runs in CI with -count=1; any regression (an escaping
-// closure, a map materialization, a slice growing past its slab) fails
+// closure, a map materialization, a frame buffer regrown per run) fails
 // the build rather than silently eroding throughput.
 func TestZeroAlloc(t *testing.T) {
 	type workload struct {
@@ -57,35 +58,30 @@ func TestZeroAlloc(t *testing.T) {
 				for i := range ctxs {
 					ctxs[i] = ThreadCtx{Tid: int64(i % 32), CtaID: int64(i / 32), NTid: 32, NCtaID: 8}
 				}
-				out := make([]LaneResult, lanes)
-				ar := newExecArena()
-				w.ck.executeBatch(w.k, w.params, ctxs, nil, ar, out)
-				ar.reset()
-				avg := testing.AllocsPerRun(50, func() {
-					w.ck.executeBatch(w.k, w.params, ctxs, nil, ar, out)
-					ar.reset()
-				})
-				if avg != 0 {
-					t.Errorf("%s lanes=%d: %v allocs per warm batched execution, want 0", w.name, lanes, avg)
+				fr := &frame{}
+				runAll := func() {
+					for _, ctx := range ctxs {
+						w.ck.execute(w.k, w.params, ctx, fr, nil)
+					}
+				}
+				runAll()
+				if avg := testing.AllocsPerRun(50, runAll); avg != 0 {
+					t.Errorf("%s threads=%d: %v allocs per warm run, want 0", w.name, lanes, avg)
 				}
 			})
 		}
 		t.Run(w.name+"/single", func(t *testing.T) {
-			ctxs := []ThreadCtx{{Tid: 3, CtaID: 1, NTid: 32, NCtaID: 8}}
-			visits := [][]int64{make([]int64, len(w.k.Body))}
-			out := make([]LaneResult, 1)
-			ar := newExecArena()
-			w.ck.executeBatch(w.k, w.params, ctxs, visits, ar, out)
-			if out[0].Err != nil {
-				t.Fatal(out[0].Err)
+			ctx := ThreadCtx{Tid: 3, CtaID: 1, NTid: 32, NCtaID: 8}
+			fr := &frame{}
+			visits := fr.visitCounts(0, len(w.k.Body))
+			if _, err := w.ck.execute(w.k, w.params, ctx, fr, visits); err != nil {
+				t.Fatal(err)
 			}
-			ar.reset()
 			avg := testing.AllocsPerRun(50, func() {
-				w.ck.executeBatch(w.k, w.params, ctxs, visits, ar, out)
-				ar.reset()
+				w.ck.execute(w.k, w.params, ctx, fr, fr.visitCounts(0, len(w.k.Body)))
 			})
 			if avg != 0 {
-				t.Errorf("%s: %v allocs per warm profiled single-lane execution, want 0", w.name, avg)
+				t.Errorf("%s: %v allocs per warm profiled execution, want 0", w.name, avg)
 			}
 		})
 	}

@@ -44,14 +44,6 @@ var serverFamilies = map[string]string{
 
 	"cnnperfd_absint_iterations": "histogram",
 
-	"cnnperfd_dca_batch_lanes":          "histogram",
-	"cnnperfd_dca_batches_total":        "counter",
-	"cnnperfd_dca_batch_lanes_total":    "counter",
-	"cnnperfd_dca_batch_segments_total": "counter",
-	"cnnperfd_dca_batch_splits_total":   "counter",
-	"cnnperfd_dca_arena_grows_total":    "counter",
-	"cnnperfd_dca_arena_bytes":          "gauge",
-
 	"cnnperfd_store_hits_total":          "counter",
 	"cnnperfd_store_misses_total":        "counter",
 	"cnnperfd_store_puts_total":          "counter",
