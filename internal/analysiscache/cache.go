@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"cnnperf/internal/parallel"
 )
 
 // Stats is a snapshot of the cache counters.
@@ -197,7 +199,27 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (v any, hi
 	c.inflight[key] = cl
 	c.mu.Unlock()
 
-	cl.val, cl.err = c.computeThrough(key, compute)
+	// A panicking compute must still release its waiters and its
+	// in-flight slot, or every later lookup of key would block forever.
+	// The waiters get the panic as a *parallel.PanicError; this caller
+	// gets the panic itself, re-raised with the same value.
+	defer func() {
+		if r := recover(); r != nil {
+			pe := parallel.Recovered(r)
+			c.finish(key, cl, nil, pe)
+			panic(pe)
+		}
+	}()
+	v, err = c.computeThrough(key, compute)
+	c.finish(key, cl, v, err)
+	return v, false, err
+}
+
+// finish publishes a computation's outcome to its waiters and, if the
+// call is still the registered one, retires it from the in-flight table
+// and caches a successful value.
+func (c *Cache) finish(key string, cl *call, v any, err error) {
+	cl.val, cl.err = v, err
 	close(cl.done)
 
 	c.mu.Lock()
@@ -205,12 +227,11 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (v any, hi
 	// cache the result if this call is still the registered one.
 	if c.inflight[key] == cl {
 		delete(c.inflight, key)
-		if cl.err == nil {
-			c.put(key, cl.val)
+		if err == nil {
+			c.put(key, v)
 		}
 	}
 	c.mu.Unlock()
-	return cl.val, false, cl.err
 }
 
 // computeThrough runs the miss path under an active singleflight slot:

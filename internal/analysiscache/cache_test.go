@@ -1,10 +1,16 @@
 package analysiscache
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"cnnperf/internal/parallel"
 )
 
 func TestGetPutCounters(t *testing.T) {
@@ -128,6 +134,67 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	}
 	if v, ok := c.Get("k"); !ok || v.(int) != 7 {
 		t.Fatalf("recovered value not cached: %v, %t", v, ok)
+	}
+}
+
+// TestGetOrComputePanicReleasesKey: a compute that panics re-raises the
+// panic in its own caller, hands it to every waiter as a
+// *parallel.PanicError, and frees the key, so the next lookup computes
+// afresh instead of waiting on a call that will never finish.
+func TestGetOrComputePanicReleasesKey(t *testing.T) {
+	c := New(0)
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.GetOrCompute("k", func() (any, error) {
+			close(started)
+			<-release
+			var empty []int
+			return empty[3], nil
+		})
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrCompute("k", func() (any, error) { return "unreachable", nil })
+		waiter <- err
+	}()
+	for c.Stats().Waits == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+
+	var pe *parallel.PanicError
+	if r := <-leader; r == nil {
+		t.Fatal("leader's panic was swallowed")
+	} else if p, ok := r.(*parallel.PanicError); !ok || !strings.Contains(p.Site, "TestGetOrComputePanicReleasesKey") {
+		t.Fatalf("leader recovered %v, want a *parallel.PanicError sited in the compute", r)
+	}
+	select {
+	case err := <-waiter:
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), "index out of range") {
+			t.Fatalf("waiter got %v, want the panic as a *parallel.PanicError", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked on the panicked computation")
+	}
+
+	next := make(chan any, 1)
+	go func() {
+		v, hit, err := c.GetOrCompute("k", func() (any, error) { return 7, nil })
+		if hit || err != nil {
+			t.Errorf("after the panic: hit=%t err=%v, want a fresh computation", hit, err)
+		}
+		next <- v
+	}()
+	select {
+	case v := <-next:
+		if v != 7 {
+			t.Fatalf("after the panic got %v, want 7", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("lookup after the panic blocked on the dead in-flight entry")
 	}
 }
 

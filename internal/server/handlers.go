@@ -10,6 +10,7 @@ import (
 	"cnnperf/internal/core"
 	"cnnperf/internal/gpu"
 	"cnnperf/internal/obs"
+	"cnnperf/internal/parallel"
 	"cnnperf/internal/ptx"
 	"cnnperf/internal/ptxanalysis"
 	"cnnperf/internal/ptxgen"
@@ -201,7 +202,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.err != nil {
-		writeUnitError(ctx, w, res.err)
+		s.writeUnitError(ctx, w, res.err)
 		return
 	}
 	preds, err := core.PredictAnalyzedContext(ctx, res.est, res.a, req.GPUs)
@@ -238,11 +239,21 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeUnitError classifies an analysis failure: context failures keep
-// their timeout semantics, everything else is an unprocessable payload
-// (parse errors, lint gate rejections, runaway executions).
-func writeUnitError(ctx context.Context, w http.ResponseWriter, err error) {
+// their timeout semantics; a panic recovered by the pool is a server
+// fault, logged with its site, counted and answered 500 like a handler
+// panic; everything else is an unprocessable payload (parse errors, lint
+// gate rejections, runaway executions).
+func (s *Server) writeUnitError(ctx context.Context, w http.ResponseWriter, err error) {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		writeError(ctx, w, http.StatusGatewayTimeout, "timeout", "analysis deadline exceeded")
+		return
+	}
+	var pe *parallel.PanicError
+	if errors.As(err, &pe) {
+		s.metrics.panics.Inc()
+		s.cfg.Logger.ErrorCtx(ctx, "analysis panic",
+			obs.String("panic", fmt.Sprint(pe.Value)), obs.String("site", pe.Site))
+		writeError(ctx, w, http.StatusInternalServerError, "internal", fmt.Sprintf("internal error: %v", pe.Value))
 		return
 	}
 	writeError(ctx, w, http.StatusUnprocessableEntity, "analysis_failed", err.Error())
