@@ -106,12 +106,6 @@ type Config struct {
 	// exactly once. Nil disables memoization (the seed behaviour);
 	// results are bit-identical either way.
 	Cache *analysiscache.Cache
-	// ReferenceInterp forces the dynamic code analysis onto the
-	// reference tree-walking interpreter instead of the compiled
-	// register-slot bytecode engine. Results are identical either way
-	// (the determinism harness enforces it); the flag exists for
-	// differential testing and as an escape hatch.
-	ReferenceInterp bool
 }
 
 // DefaultConfig returns the configuration of the reproduced experiments:
@@ -140,16 +134,6 @@ func (c Config) trainFrac() float64 {
 	return c.TrainFrac
 }
 
-// StageTiming attributes a slice of the analysis wall-clock to one
-// pipeline stage. The stage names match the span taxonomy of
-// internal/obs (DESIGN.md §10).
-type StageTiming struct {
-	// Stage is the span name of the pipeline stage.
-	Stage string `json:"stage"`
-	// Duration is the measured wall-clock of that stage.
-	Duration time.Duration `json:"duration_ns"`
-}
-
 // ModelAnalysis caches the per-CNN analysis shared by every GPU row: the
 // static summary and the dynamic code analysis report.
 type ModelAnalysis struct {
@@ -163,9 +147,6 @@ type ModelAnalysis struct {
 	Static *ptxanalysis.ModuleAnalysis
 	// DCATime is the measured wall-clock of compile+analysis (t_dca).
 	DCATime time.Duration
-	// Stages breaks DCATime down by pipeline stage, in execution order.
-	// Purely observational: predictions never read it.
-	Stages []StageTiming
 }
 
 // AnalyzeCNN runs the static analyzer and dynamic code analysis for one
@@ -192,18 +173,10 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 	start := time.Now()
 	ctx, span := obs.Start(ctx, "model.analyze", obs.String("model", m.Name))
 	defer span.End()
-	// Each stage is timed unconditionally (a few clock reads per model)
-	// so the per-stage breakdown is available even without a tracer.
-	stages := make([]StageTiming, 0, 4)
-	stage := func(name string, t0 time.Time) {
-		stages = append(stages, StageTiming{Stage: name, Duration: time.Since(t0)})
-	}
 
-	t0 := time.Now()
 	_, s := obs.Start(ctx, "cnn.analyze")
 	summary, err := cnn.Analyze(m)
 	s.End()
-	stage("cnn.analyze", t0)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -211,14 +184,12 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 		return nil, err
 	}
 
-	t0 = time.Now()
 	_, s = obs.Start(ctx, "ptx.codegen")
 	prog, err := ptxgen.Compile(m, cfg.PTX)
 	if err == nil {
 		s.SetAttr(obs.Int("kernels", len(prog.Module.Kernels)), obs.Int("launches", len(prog.Launches)))
 	}
 	s.End()
-	stage("ptx.codegen", t0)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -228,21 +199,16 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 
 	// The static pass runs first: the DCA's gate, loop detection and
 	// block-visit collapse read its per-kernel analyses.
-	t0 = time.Now()
 	static, err := staticPass(ctx, prog.Module, cfg.Cache)
-	stage("static.analysis", t0)
 	if err != nil {
 		return nil, err
 	}
 
-	t0 = time.Now()
 	rep, err := dca.AnalyzeProgramContext(ctx, prog, dca.Options{
 		Cache:       cfg.Cache,
-		Exec:        dca.ExecOptions{Reference: cfg.ReferenceInterp},
 		BlockCounts: cfg.BBFeatures,
 		Static:      static,
 	})
-	stage("dca.analyze", t0)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -255,7 +221,6 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 		Report:  rep,
 		Static:  static,
 		DCATime: time.Since(start),
-		Stages:  stages,
 	}, nil
 }
 

@@ -94,38 +94,6 @@ func TestCacheEquivalenceFullZoo(t *testing.T) {
 	t.Logf("full-zoo cache: %s", s)
 }
 
-// TestReferenceVsCompiledInterpreter is the engine-divergence gate: the
-// dataset built with the compiled register-slot bytecode engine (the
-// default) must be byte-identical to one built with the reference
-// tree-walking interpreter, with and without the analysis cache. Any
-// divergence between the two engines fails the build here.
-func TestReferenceVsCompiledInterpreter(t *testing.T) {
-	models := []string{"alexnet", "mobilenet", "mobilenetv2", "squeezenet"}
-	if !testing.Short() {
-		models = zoo.TableIOrder
-	}
-	workers := runtime.GOMAXPROCS(0)
-	compiled := datasetCSV(t, models, core.Config{Workers: workers})
-	if compiled == "" {
-		t.Fatal("empty compiled-engine CSV")
-	}
-	cases := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"reference_uncached", core.Config{Workers: workers, ReferenceInterp: true}},
-		{"reference_cached", core.Config{Workers: workers, ReferenceInterp: true, Cache: analysiscache.New(0)}},
-		{"compiled_cached", core.Config{Workers: workers, Cache: analysiscache.New(0)}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := datasetCSV(t, models, tc.cfg); got != compiled {
-				t.Error("dataset diverges from the compiled-engine baseline")
-			}
-		})
-	}
-}
-
 // TestEvaluateRegressorsDeterministicAcrossWorkers asserts the Table II
 // evaluation rows do not depend on the worker count.
 func TestEvaluateRegressorsDeterministicAcrossWorkers(t *testing.T) {

@@ -14,9 +14,10 @@ import (
 
 // TestPTXAnalysisMissCount checks that a raw-PTX analysis derives each
 // kernel's facts once: with a fresh cache, N distinct kernels launched
-// once each cost exactly 3N misses — one static analysis (ptxa), one
-// compiled slice (dcac) and one launch report (dca) per kernel. The lint
-// gate reads the static analysis and adds none.
+// once each cost exactly 2N misses — one static analysis (ptxa) and one
+// launch report (dca) per kernel. The lint gate reads the static
+// analysis and adds none, and the compiled slice is built in memory,
+// never looked up.
 func TestPTXAnalysisMissCount(t *testing.T) {
 	prog, err := ptxgen.Compile(zoo.MustBuild("alexnet"), DefaultConfig().PTX)
 	if err != nil {
@@ -30,7 +31,7 @@ func TestPTXAnalysisMissCount(t *testing.T) {
 	if _, err := AnalyzePTXContext(context.Background(), ptx.Print(prog.Module), PTXOptions{}, Config{Cache: c}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.Stats().Misses, uint64(3*len(distinct)); got != want {
+	if got, want := c.Stats().Misses, uint64(2*len(distinct)); got != want {
 		t.Errorf("%d distinct kernels cost %d misses, want %d", len(distinct), got, want)
 	}
 }

@@ -193,11 +193,8 @@ func AnalyzePTXContext(ctx context.Context, src string, opt PTXOptions, cfg Conf
 		return nil, err
 	}
 	rep, err := dca.AnalyzeProgramContext(ctx, prog, dca.Options{
-		Cache: cfg.Cache,
-		Exec: dca.ExecOptions{
-			Reference: cfg.ReferenceInterp,
-			MaxSteps:  opt.MaxSteps,
-		},
+		Cache:  cfg.Cache,
+		Exec:   dca.ExecOptions{MaxSteps: opt.MaxSteps},
 		Static: static,
 	})
 	if err != nil {

@@ -92,3 +92,13 @@ func TestStoreServedPredictions(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigFingerprintGolden pins the fingerprint of the default
+// configuration. Stored estimators are keyed by it (EstimatorKey), so a
+// change to its bytes orphans every estimator already on disk.
+func TestConfigFingerprintGolden(t *testing.T) {
+	const want = "dcee093779b9bc470c0774334358d11dbb9c4b627e61a53953c30add5ee9a007"
+	if got := ConfigFingerprint(DefaultConfig()); got != want {
+		t.Errorf("ConfigFingerprint(DefaultConfig()) = %s, want %s", got, want)
+	}
+}

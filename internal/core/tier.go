@@ -20,12 +20,13 @@ import (
 // content-addressed disk store:
 //
 //	dca   per-launch dynamic-code-analysis reports (*dca.KernelReport)
-//	dcac  compiled control-slice bytecode          (*dca.CompiledKernel)
 //	ptxa  static kernel analyses                   (*ptxanalysis.KernelAnalysis)
 //	est   trained estimators                       (*Estimator)
 //
-// The DCA gate reads the ptxa analysis; a lint/ directory left by older
-// stores has no codec and is never read.
+// The DCA gate reads the ptxa analysis, and the DCA compiles each
+// kernel's bytecode afresh rather than persisting it. Namespaces older
+// stores wrote for either (the gate's findings, the bytecode) have no
+// codec and are never read.
 //
 // Each codec's Version() is the namespace format version: bump it in
 // lockstep with the payload version constant of the owning package and
@@ -43,19 +44,6 @@ func (dcaCodec) Encode(v any) ([]byte, error) {
 	return dca.MarshalKernelReport(r)
 }
 func (dcaCodec) Decode(b []byte) (any, error) { return dca.UnmarshalKernelReport(b) }
-
-type dcacCodec struct{}
-
-func (dcacCodec) Namespace() string { return "dcac" }
-func (dcacCodec) Version() int      { return 1 }
-func (dcacCodec) Encode(v any) ([]byte, error) {
-	c, ok := v.(*dca.CompiledKernel)
-	if !ok {
-		return nil, fmt.Errorf("core: dcac codec got %T", v)
-	}
-	return dca.MarshalCompiledKernel(c)
-}
-func (dcacCodec) Decode(b []byte) (any, error) { return dca.UnmarshalCompiledKernel(b) }
 
 type ptxaCodec struct{}
 
@@ -87,7 +75,7 @@ func (estCodec) Decode(b []byte) (any, error) { return UnmarshalEstimator(b) }
 // the pipeline caches. store may be nil for a snapshot-only tier.
 func NewArtifactTier(store *artifactstore.Store) (*artifactstore.Tier, error) {
 	return artifactstore.NewTier(store,
-		dcaCodec{}, dcacCodec{}, ptxaCodec{}, estCodec{})
+		dcaCodec{}, ptxaCodec{}, estCodec{})
 }
 
 // configFingerprintView is the subset of Config that changes analysis
@@ -103,7 +91,10 @@ type configFingerprintView struct {
 	ExtendedFeatures bool            `json:"extended_features"`
 	StaticFeatures   bool            `json:"static_features"`
 	BBFeatures       bool            `json:"bb_features"`
-	ReferenceInterp  bool            `json:"reference_interp"`
+	// ReferenceInterp is always false. It names a deleted engine switch
+	// that never changed results; the field stays so the fingerprint
+	// bytes, and with them every stored estimator's key, are unchanged.
+	ReferenceInterp bool `json:"reference_interp"`
 }
 
 // ConfigFingerprint hashes the result-affecting configuration, so
@@ -119,7 +110,6 @@ func ConfigFingerprint(cfg Config) string {
 		ExtendedFeatures: cfg.ExtendedFeatures,
 		StaticFeatures:   cfg.StaticFeatures,
 		BBFeatures:       cfg.BBFeatures,
-		ReferenceInterp:  cfg.ReferenceInterp,
 	})
 	if err != nil {
 		// The view is plain data; Marshal cannot fail. Guard anyway.

@@ -310,11 +310,26 @@ func stripTime(r *Report) *Report {
 	return &c
 }
 
+// withoutVisits drops the block-visit profiles, leaving what a run
+// without Options.BlockCounts reports.
+func withoutVisits(r *Report) *Report {
+	c := *r
+	c.Kernels = append([]KernelReport(nil), r.Kernels...)
+	for i := range c.Kernels {
+		c.Kernels[i].BlockVisits = nil
+	}
+	return &c
+}
+
 // TestCompiledMatchesReferenceOnZoo is the zoo-wide equivalence gate:
 // with the compiled engine, AnalyzeProgram must reproduce the reference
-// interpreter's reports byte for byte on every CNN, with the analysis cache on and off. Byte-for-byte is literal:
-// beyond DeepEqual, every KernelReport must serialize to identical
-// bytes across engines. -short runs a 4-model subset.
+// interpreter's reports byte for byte on every CNN, with the analysis
+// cache on and off. Two legs run without BlockCounts and match the
+// baseline minus its block visits: the compiled engine as the pipeline
+// runs it by default, and the reference interpreter alone, which then
+// builds no bytecode at all. Byte-for-byte is literal: beyond
+// DeepEqual, every KernelReport must serialize to identical bytes
+// across engines. -short runs a 4-model subset.
 func TestCompiledMatchesReferenceOnZoo(t *testing.T) {
 	models := zoo.TableIOrder
 	if testing.Short() {
@@ -335,18 +350,24 @@ func TestCompiledMatchesReferenceOnZoo(t *testing.T) {
 		}{
 			{"compiled", Options{BlockCounts: true}},
 			{"compiled+cache", Options{Cache: analysiscache.New(0), BlockCounts: true}},
+			{"compiled, no visits", Options{}},
+			{"reference, no visits", Options{Exec: ExecOptions{Reference: true}}},
 		}
 		for _, eng := range engines {
 			got, err := AnalyzeProgram(prog, eng.opts)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, eng.name, err)
 			}
-			if !reflect.DeepEqual(stripTime(ref), stripTime(got)) {
+			want := ref
+			if !eng.opts.BlockCounts {
+				want = withoutVisits(ref)
+			}
+			if !reflect.DeepEqual(stripTime(want), stripTime(got)) {
 				t.Errorf("%s: %s report diverges from reference", name, eng.name)
 				continue
 			}
 			for i := range got.Kernels {
-				wb, werr := MarshalKernelReport(&ref.Kernels[i])
+				wb, werr := MarshalKernelReport(&want.Kernels[i])
 				gb, gerr := MarshalKernelReport(&got.Kernels[i])
 				if werr != nil || gerr != nil {
 					t.Fatalf("%s: marshal: %v / %v", name, werr, gerr)
@@ -363,7 +384,7 @@ func TestCompiledMatchesReferenceOnZoo(t *testing.T) {
 
 // TestCompiledKernelSharedAcrossRenames checks the positional parameter
 // binding: two content-identical kernels under different names (and
-// different parameter names) share one cached compiled kernel and still
+// different parameter names) share one cached static analysis and still
 // bind their own launch parameters correctly.
 func TestCompiledKernelSharedAcrossRenames(t *testing.T) {
 	src := ".version 6.0\n.target sm_61\n.address_size 64\n" +

@@ -167,7 +167,11 @@ func (f *kernelFacts) prepare(ctx context.Context, opts Options) *kernelFacts {
 	f.g = BuildDepGraph(f.k)
 	f.slice = BuildControlSlice(f.k, f.g)
 	if !opts.Exec.Reference || opts.BlockCounts {
-		f.ck = compiledKernel(f, loops, opts)
+		// The bytecode is derived, never cached: compiling costs less
+		// than decoding a stored copy, and every launch of the kernel in
+		// one AnalyzeProgram call shares f. A nil ck (a compile failure)
+		// falls back to the reference interpreter.
+		f.ck, _ = compile(f.k, f.slice, opts.Exec, f.cfg, loops)
 	}
 	return f
 }
@@ -228,31 +232,6 @@ func launchKey(f *kernelFacts, l ptxgen.Launch, opts Options) string {
 		fmt.Sprintf("grid=%d;block=%d;threads=%d;full=%t;maxsteps=%d;lint=%t;ref=%t;bb=%t",
 			l.GridX, l.BlockX, l.Threads, opts.Exec.Full, opts.Exec.MaxSteps, opts.SkipLint, opts.Exec.Reference, opts.BlockCounts),
 		params.String())
-}
-
-// compiledKernel returns the bytecode form of the kernel's control
-// slice, memoized by kernel content and the executor knobs baked into
-// the compiled program. A nil return means the kernel cannot be
-// compiled; the caller falls back to the reference interpreter.
-func compiledKernel(f *kernelFacts, loops []ptxanalysis.Loop, opts Options) *CompiledKernel {
-	if opts.Cache == nil {
-		ck, err := compile(f.k, f.slice, opts.Exec, f.cfg, loops)
-		if err != nil {
-			return nil
-		}
-		return ck
-	}
-	// "layout=2" is a fixed part of the key: stores and snapshots
-	// written under it keep resolving to the same compiled programs.
-	key := f.d.Key("dcac",
-		fmt.Sprintf("full=%t;maxsteps=%d;layout=2", opts.Exec.Full, opts.Exec.effectiveMaxSteps()))
-	v, _, err := opts.Cache.GetOrCompute(key, func() (any, error) {
-		return compile(f.k, f.slice, opts.Exec, f.cfg, loops)
-	})
-	if err != nil {
-		return nil
-	}
-	return v.(*CompiledKernel)
 }
 
 // analyzeKernelLaunchUncached is the memoization-free analysis body.

@@ -258,34 +258,6 @@ func TestBatchedConcurrentArenas(t *testing.T) {
 	}
 }
 
-// TestBatchedSerializedKernel decodes a compiled kernel from its wire
-// form and requires it to execute every thread exactly as the original.
-func TestBatchedSerializedKernel(t *testing.T) {
-	for _, tc := range divergenceKernels {
-		k := parseOne(t, tc.body)
-		opts := ExecOptions{Full: tc.full, MaxSteps: tc.maxSteps}
-		ck, err := Compile(k, BuildControlSlice(k, BuildDepGraph(k)), opts)
-		if err != nil {
-			t.Fatalf("%s: Compile: %v", tc.name, err)
-		}
-		blob, err := MarshalCompiledKernel(ck)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", tc.name, err)
-		}
-		back, err := UnmarshalCompiledKernel(blob)
-		if err != nil {
-			t.Fatalf("%s: unmarshal: %v", tc.name, err)
-		}
-		for _, ctx := range ctxRange(0, 8, 32, 2) {
-			want, werr := ck.Execute(k, tc.params, ctx)
-			got, gerr := back.Execute(k, tc.params, ctx)
-			if !sameRun(want, werr, got, gerr) {
-				t.Fatalf("%s ctx %+v: decoded kernel diverged", tc.name, ctx)
-			}
-		}
-	}
-}
-
 // TestBatchStatsAccounting pins the telemetry arithmetic: every compiled
 // execution is one segment carrying one thread, whatever the kernel does.
 func TestBatchStatsAccounting(t *testing.T) {

@@ -52,25 +52,19 @@ type PredictResponse struct {
 	TrainableParams      int64           `json:"trainable_params"`
 	Kernels              int             `json:"kernels"`
 	Predictions          []GPUPrediction `json:"predictions"`
-	// Debug is the per-stage analysis breakdown, present only when the
-	// request asked for it with ?debug=1. Deliberately excluded from the
-	// default response so byte-identity of predictions holds.
+	// Debug is present only when the request asked for it with
+	// ?debug=1. Deliberately excluded from the default response so
+	// byte-identity of predictions holds.
 	Debug *PredictDebug `json:"debug,omitempty"`
 }
 
-// PredictDebug is the ?debug=1 block: where the analysis time went.
-// The stage timings are measured when the analysis is computed; a
-// cache-served analysis reports the timings of that original run.
+// PredictDebug is the ?debug=1 block. AnalysisS is the analysis's own
+// wall-clock (the paper's t_dca), measured when it was computed, so a
+// memo-served answer reports that original run; the spans and the
+// flight recorder attribute where a request's time went.
 type PredictDebug struct {
-	RequestID string       `json:"request_id,omitempty"`
-	AnalysisS float64      `json:"analysis_seconds"`
-	Stages    []StageDebug `json:"stages"`
-}
-
-// StageDebug is one pipeline stage of the debug breakdown.
-type StageDebug struct {
-	Stage   string  `json:"stage"`
-	Seconds float64 `json:"seconds"`
+	RequestID string  `json:"request_id,omitempty"`
+	AnalysisS float64 `json:"analysis_seconds"`
 }
 
 // LintRequest is the /v1/lint input: exactly one of Model or PTX.
@@ -226,14 +220,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Predictions:          out,
 	}
 	if r.URL.Query().Get("debug") == "1" {
-		dbg := &PredictDebug{
+		resp.Debug = &PredictDebug{
 			RequestID: obs.RequestID(ctx),
 			AnalysisS: res.a.DCATime.Seconds(),
 		}
-		for _, st := range res.a.Stages {
-			dbg.Stages = append(dbg.Stages, StageDebug{Stage: st.Stage, Seconds: st.Duration.Seconds()})
-		}
-		resp.Debug = dbg
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -197,26 +197,32 @@ func TestObservabilityDeterminism(t *testing.T) {
 		t.Fatalf("debug block present without ?debug=1:\n%s", rawInst)
 	}
 
-	// ?debug=1 adds the stage breakdown but leaves the prediction
-	// fields untouched.
+	// ?debug=1 adds the request id and the analysis time but leaves
+	// the prediction fields untouched.
 	codeDbg, rawDbg := postJSON(t, instrumented.URL+"/v1/predict?debug=1", body)
 	if codeDbg != http.StatusOK {
 		t.Fatalf("debug predict status %d\n%s", codeDbg, rawDbg)
 	}
 	var withDbg struct {
-		Predictions json.RawMessage `json:"predictions"`
-		Debug       *struct {
-			Stages []struct {
-				Stage   string  `json:"stage"`
-				Seconds float64 `json:"seconds"`
-			} `json:"stages"`
-		} `json:"debug"`
+		Predictions json.RawMessage            `json:"predictions"`
+		Debug       map[string]json.RawMessage `json:"debug"`
 	}
 	if err := json.Unmarshal(rawDbg, &withDbg); err != nil {
 		t.Fatalf("bad debug response: %v\n%s", err, rawDbg)
 	}
-	if withDbg.Debug == nil || len(withDbg.Debug.Stages) == 0 {
-		t.Fatalf("?debug=1 returned no stage breakdown:\n%s", rawDbg)
+	if withDbg.Debug == nil {
+		t.Fatalf("?debug=1 returned no debug block:\n%s", rawDbg)
+	}
+	var reqID string
+	var analysisS float64
+	if err := json.Unmarshal(withDbg.Debug["request_id"], &reqID); err != nil || reqID == "" {
+		t.Fatalf("debug block has no request_id:\n%s", rawDbg)
+	}
+	if err := json.Unmarshal(withDbg.Debug["analysis_seconds"], &analysisS); err != nil || analysisS <= 0 {
+		t.Fatalf("debug block has no positive analysis_seconds:\n%s", rawDbg)
+	}
+	if len(withDbg.Debug) != 2 {
+		t.Fatalf("debug block carries more than request_id and analysis_seconds:\n%s", rawDbg)
 	}
 	var plainResp struct {
 		Predictions json.RawMessage `json:"predictions"`

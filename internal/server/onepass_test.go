@@ -77,26 +77,53 @@ func TestLintReadsPredictAnalysis(t *testing.T) {
 	}
 }
 
-// TestStoreSkipsLegacyLintRecords boots replicas on a store, and on a
-// snapshot of it, that still hold lint/ records: the DCA gate's
-// findings, as builds with a separate lint namespace wrote them. Both
-// must open, ignore those records and answer byte-identically to a
-// cold process.
-func TestStoreSkipsLegacyLintRecords(t *testing.T) {
+// TestStoreSkipsLegacyRecords boots replicas on a store, and on a
+// snapshot of it, that still hold records of namespaces older builds
+// wrote and this one has no codec for: lint/ (the DCA gate's findings,
+// from builds with a separate lint namespace) and dcac/ (compiled DCA
+// bytecode, from builds that persisted it; the bytecode is now rebuilt
+// from the kernel text). Both boots must open, never read those records
+// (no decode error, every payload left in place) and answer
+// byte-identically to a cold process.
+func TestStoreSkipsLegacyRecords(t *testing.T) {
 	src, m := alexnetPTX(t)
 	dir := t.TempDir()
 	store, err := artifactstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.EnsureNamespace("lint", 1); err != nil {
-		t.Fatal(err)
-	}
+	type record struct{ ns, key, payload string }
+	var legacy []record
 	for _, k := range m.Kernels {
-		// The legacy payload: a version-1 envelope of the kernel's
+		// The legacy lint payload: a version-1 envelope of the kernel's
 		// error-severity diagnostics (none for generated kernels).
-		if err := store.Put(context.Background(), "lint", analysiscache.KernelKey("lint", k), []byte(`{"version":1,"diags":[]}`)); err != nil {
+		legacy = append(legacy, record{"lint", analysiscache.KernelKey("lint", k), `{"version":1,"diags":[]}`})
+		// dcac records under the keys those builds looked up for the zoo
+		// (1M steps) and raw-PTX (5M steps) step limits. The payload
+		// would not decode as bytecode: a build that still read the
+		// namespace would count a decode error and overwrite it.
+		for _, steps := range []string{"1000000", "5000000"} {
+			legacy = append(legacy, record{"dcac",
+				analysiscache.KernelKey("dcac", k, "full=false;maxsteps="+steps+";layout=2"), `{"version":1}`})
+		}
+	}
+	for _, ns := range []string{"lint", "dcac"} {
+		if err := store.EnsureNamespace(ns, 1); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for _, r := range legacy {
+		if err := store.Put(context.Background(), r.ns, r.key, []byte(r.payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	untouched := func(when string) {
+		t.Helper()
+		for _, r := range legacy {
+			got, ok, err := store.Get(context.Background(), r.ns, r.key)
+			if err != nil || !ok || string(got) != r.payload {
+				t.Fatalf("%s: legacy %s record %s was touched: ok=%t err=%v payload %.80q", when, r.ns, r.key, ok, err, got)
+			}
 		}
 	}
 
@@ -120,8 +147,12 @@ func TestStoreSkipsLegacyLintRecords(t *testing.T) {
 
 	s1, ts1 := newStoreTestServer(t, server.Config{StoreDir: dir})
 	if got := answers(ts1.URL); !reflect.DeepEqual(got, cold) {
-		t.Fatalf("store with lint records answers differently:\n got %s\nwant %s", got, cold)
+		t.Fatalf("store with legacy records answers differently:\n got %s\nwant %s", got, cold)
 	}
+	if n := s1.ArtifactTier().DecodeErrors(); n != 0 {
+		t.Errorf("store boot decoded %d records it has no codec for", n)
+	}
+	untouched("store boot")
 	snap := filepath.Join(t.TempDir(), "store.snap")
 	f, err := os.Create(snap)
 	if err != nil {
@@ -133,11 +164,30 @@ func TestStoreSkipsLegacyLintRecords(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, ts2 := newStoreTestServer(t, server.Config{SnapshotFile: snap})
+	// The snapshot must carry the legacy records, or its boot proves
+	// nothing about skipping them.
+	inSnap := make(map[string]int)
+	sf, err := os.Open(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = artifactstore.ReadSnapshot(sf, func(ns, _ string, _ []byte) error {
+		inSnap[ns]++
+		return nil
+	})
+	sf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inSnap["lint"] == 0 || inSnap["dcac"] == 0 {
+		t.Fatalf("snapshot holds %d lint and %d dcac records, want both", inSnap["lint"], inSnap["dcac"])
+	}
+	s2, ts2 := newStoreTestServer(t, server.Config{SnapshotFile: snap})
 	if got := answers(ts2.URL); !reflect.DeepEqual(got, cold) {
-		t.Fatalf("snapshot with lint records answers differently:\n got %s\nwant %s", got, cold)
+		t.Fatalf("snapshot with legacy records answers differently:\n got %s\nwant %s", got, cold)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "lint")); err != nil {
-		t.Errorf("the legacy lint namespace was touched: %v", err)
+	if n := s2.ArtifactTier().DecodeErrors(); n != 0 {
+		t.Errorf("snapshot boot decoded %d records it has no codec for", n)
 	}
+	untouched("snapshot boot")
 }
