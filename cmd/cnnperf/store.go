@@ -19,6 +19,10 @@ import (
 //	cnnperf store import -dir DIR -in FILE           unpack a snapshot into a store
 //	cnnperf store verify [-dir DIR] [-in FILE]       check every record's integrity
 //	cnnperf store gc     -dir DIR                    remove quarantined and stale temp files
+//	                                                 and namespaces without a codec
+//
+// export, import and gc keep only the namespaces core.NewArtifactTier
+// has a codec for; records older builds wrote elsewhere are never read.
 //
 // A warmed store (or its exported snapshot) is what lets cnnperfd boot
 // warm: `cnnperfd -store DIR` or `cnnperfd -snapshot FILE` serves its
@@ -55,6 +59,15 @@ func openTier(dir string) (*artifactstore.Store, *artifactstore.Tier, error) {
 		return nil, nil, err
 	}
 	return store, tier, nil
+}
+
+// codecNamespaces lists the store namespaces this build reads.
+func codecNamespaces() ([]string, error) {
+	tier, err := core.NewArtifactTier(nil)
+	if err != nil {
+		return nil, err
+	}
+	return tier.Namespaces(), nil
 }
 
 // runStoreWarm computes the artifacts cnnperfd needs at boot — the
@@ -132,11 +145,15 @@ func runStoreExport(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	namespaces, err := codecNamespaces()
+	if err != nil {
+		return err
+	}
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	n, err := store.Export(ctx, f)
+	n, err := store.Export(ctx, f, namespaces...)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -162,12 +179,16 @@ func runStoreImport(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	namespaces, err := codecNamespaces()
+	if err != nil {
+		return err
+	}
 	f, err := os.Open(*in)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	n, err := store.Import(ctx, f)
+	n, err := store.Import(ctx, f, namespaces...)
 	if err != nil {
 		return err
 	}
@@ -228,10 +249,19 @@ func runStoreGC(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := store.GC(ctx)
+	namespaces, err := codecNamespaces()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("store %s: removed %d quarantined/temp files\n", *dir, res.Removed)
+	res, err := store.GC(ctx, namespaces...)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("store %s: removed %d quarantined/temp files and %d namespace(s) without a codec",
+		*dir, res.Removed, len(res.Namespaces))
+	if len(res.Namespaces) > 0 {
+		fmt.Printf(": %s", strings.Join(res.Namespaces, ", "))
+	}
+	fmt.Println()
 	return nil
 }

@@ -32,8 +32,9 @@ var (
 	trailerMagic  = [4]byte{'C', 'P', 'S', 'T'}
 )
 
-// Export streams every record in the store to w as a snapshot.
-func (s *Store) Export(ctx context.Context, w io.Writer) (int, error) {
+// Export streams the records of the given namespaces to w as a
+// snapshot; with no namespace given, every record in the store.
+func (s *Store) Export(ctx context.Context, w io.Writer, namespaces ...string) (int, error) {
 	_, span := obs.Start(ctx, "store.snapshot")
 	defer span.End()
 	bw := bufio.NewWriter(w)
@@ -45,7 +46,7 @@ func (s *Store) Export(ctx context.Context, w io.Writer) (int, error) {
 	}
 	crc := crc32.NewIEEE()
 	count := uint64(0)
-	err := s.walkRecords(func(ns, path string) error {
+	err := s.walkRecords(namespaces, func(ns, path string) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -145,18 +146,32 @@ func ReadSnapshot(r io.Reader, fn func(ns, key string, payload []byte) error) (i
 	return int(count), nil
 }
 
-// Import loads every record of a snapshot into the store. The stream is
-// validated end-to-end before this returns nil; records are written as
-// they arrive (each individually verified), so a truncated snapshot can
-// leave some records imported — all of them valid.
-func (s *Store) Import(ctx context.Context, r io.Reader) (int, error) {
-	return ReadSnapshot(r, func(ns, key string, payload []byte) error {
+// Import loads the records of a snapshot into the store: those of the
+// given namespaces, or every record when none is given, and returns how
+// many it wrote. The stream is validated end-to-end before this returns
+// nil; records are written as they arrive (each individually verified),
+// so a truncated snapshot can leave some records imported — all of them
+// valid.
+func (s *Store) Import(ctx context.Context, r io.Reader, namespaces ...string) (int, error) {
+	n := 0
+	_, err := ReadSnapshot(r, func(ns, key string, payload []byte) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if !validNamespace(ns) {
 			return fmt.Errorf("artifactstore: snapshot record has invalid namespace %q", ns)
 		}
-		return s.Put(ctx, ns, key, payload)
+		if !inNamespaces(namespaces, ns) {
+			return nil
+		}
+		if err := s.Put(ctx, ns, key, payload); err != nil {
+			return err
+		}
+		n++
+		return nil
 	})
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -185,15 +186,18 @@ func (s *Store) quarantine(path string) {
 	}
 }
 
-// walkRecords visits every record file in deterministic order (sorted
-// namespaces, then sorted hashes). Temp, VERSION and quarantined files
-// are skipped.
-func (s *Store) walkRecords(fn func(ns, path string) error) error {
+// walkRecords visits every record file of the given namespaces (all of
+// them when none is given) in deterministic order (sorted namespaces,
+// then sorted hashes). Temp, VERSION and quarantined files are skipped.
+func (s *Store) walkRecords(only []string, fn func(ns, path string) error) error {
 	namespaces, err := sortedSubdirs(s.dir)
 	if err != nil {
 		return err
 	}
 	for _, ns := range namespaces {
+		if !inNamespaces(only, ns) {
+			continue
+		}
 		nsDir := filepath.Join(s.dir, ns)
 		shards, err := sortedSubdirs(nsDir)
 		if err != nil {
@@ -223,6 +227,12 @@ func (s *Store) walkRecords(fn func(ns, path string) error) error {
 	return nil
 }
 
+// inNamespaces reports whether ns passes a namespace filter: it is one
+// of namespaces, or namespaces is empty.
+func inNamespaces(namespaces []string, ns string) bool {
+	return len(namespaces) == 0 || slices.Contains(namespaces, ns)
+}
+
 func sortedSubdirs(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -249,7 +259,7 @@ type VerifyResult struct {
 // records are quarantined as in Get.
 func (s *Store) Verify(ctx context.Context) (VerifyResult, error) {
 	var res VerifyResult
-	err := s.walkRecords(func(ns, path string) error {
+	err := s.walkRecords(nil, func(ns, path string) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -276,13 +286,35 @@ func (s *Store) Verify(ctx context.Context) (VerifyResult, error) {
 
 // GCResult summarises a garbage-collection pass.
 type GCResult struct {
-	Removed int // files deleted (quarantined records + stale temp files)
+	Removed    int      // files deleted (quarantined records + stale temp files)
+	Namespaces []string // namespace directories deleted, records and all
 }
 
 // GC removes quarantined records and orphaned temp files left behind by
-// interrupted writes. Live records are never touched.
-func (s *Store) GC(ctx context.Context) (GCResult, error) {
+// interrupted writes. With namespaces given, it also deletes every other
+// namespace directory, that is every subdirectory holding a VERSION
+// file; the records of the given namespaces are never touched.
+func (s *Store) GC(ctx context.Context, namespaces ...string) (GCResult, error) {
 	var res GCResult
+	if len(namespaces) > 0 {
+		dirs, err := sortedSubdirs(s.dir)
+		if err != nil {
+			return res, err
+		}
+		for _, ns := range dirs {
+			if slices.Contains(namespaces, ns) {
+				continue
+			}
+			nsDir := filepath.Join(s.dir, ns)
+			if _, err := os.Stat(filepath.Join(nsDir, "VERSION")); err != nil {
+				continue // not a namespace this store wrote
+			}
+			if err := os.RemoveAll(nsDir); err != nil {
+				return res, fmt.Errorf("artifactstore: %w", err)
+			}
+			res.Namespaces = append(res.Namespaces, ns)
+		}
+	}
 	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return fmt.Errorf("artifactstore: %w", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -85,6 +86,17 @@ func (t *Tier) ctx() context.Context { return *t.baseCtx.Load() }
 
 // Store returns the underlying store, or nil for a snapshot-only tier.
 func (t *Tier) Store() *Store { return t.store }
+
+// Namespaces returns the namespaces the tier has a codec for, sorted.
+// Records in any other namespace are never read.
+func (t *Tier) Namespaces() []string {
+	ns := make([]string, 0, len(t.codecs))
+	for n := range t.codecs {
+		ns = append(ns, n)
+	}
+	sort.Strings(ns)
+	return ns
+}
 
 // DecodeErrors counts payloads that a codec refused to decode. Each
 // such artifact is treated as a miss and recomputed.

@@ -11,7 +11,6 @@ import (
 	"cnnperf/internal/dca"
 	"cnnperf/internal/gpusim"
 	"cnnperf/internal/profiler"
-	"cnnperf/internal/ptxanalysis"
 	"cnnperf/internal/ptxgen"
 )
 
@@ -20,13 +19,15 @@ import (
 // content-addressed disk store:
 //
 //	dca   per-launch dynamic-code-analysis reports (*dca.KernelReport)
-//	ptxa  static kernel analyses                   (*ptxanalysis.KernelAnalysis)
 //	est   trained estimators                       (*Estimator)
 //
-// The DCA gate reads the ptxa analysis, and the DCA compiles each
-// kernel's bytecode afresh rather than persisting it. Namespaces older
-// stores wrote for either (the gate's findings, the bytecode) have no
-// codec and are never read.
+// Only what is costly to recompute is persisted. The static analysis
+// and the DCA's compiled bytecode are rebuilt from the kernel text, at
+// about the cost of decoding a stored analysis and far below that of
+// decoding stored bytecode. Namespaces older stores
+// wrote for them (ptxa, dcac, and the gate's findings under lint) have
+// no codec: the tier never reads them, and `cnnperf store export`,
+// `import` and `gc` drop them.
 //
 // Each codec's Version() is the namespace format version: bump it in
 // lockstep with the payload version constant of the owning package and
@@ -45,19 +46,6 @@ func (dcaCodec) Encode(v any) ([]byte, error) {
 }
 func (dcaCodec) Decode(b []byte) (any, error) { return dca.UnmarshalKernelReport(b) }
 
-type ptxaCodec struct{}
-
-func (ptxaCodec) Namespace() string { return "ptxa" }
-func (ptxaCodec) Version() int      { return 1 }
-func (ptxaCodec) Encode(v any) ([]byte, error) {
-	a, ok := v.(*ptxanalysis.KernelAnalysis)
-	if !ok {
-		return nil, fmt.Errorf("core: ptxa codec got %T", v)
-	}
-	return ptxanalysis.MarshalKernelAnalysis(a)
-}
-func (ptxaCodec) Decode(b []byte) (any, error) { return ptxanalysis.UnmarshalKernelAnalysis(b) }
-
 type estCodec struct{}
 
 func (estCodec) Namespace() string { return "est" }
@@ -71,11 +59,10 @@ func (estCodec) Encode(v any) ([]byte, error) {
 }
 func (estCodec) Decode(b []byte) (any, error) { return UnmarshalEstimator(b) }
 
-// NewArtifactTier builds the disk tier persisting every artifact class
-// the pipeline caches. store may be nil for a snapshot-only tier.
+// NewArtifactTier builds the disk tier persisting the DCA reports and
+// the estimators. store may be nil for a snapshot-only tier.
 func NewArtifactTier(store *artifactstore.Store) (*artifactstore.Tier, error) {
-	return artifactstore.NewTier(store,
-		dcaCodec{}, ptxaCodec{}, estCodec{})
+	return artifactstore.NewTier(store, dcaCodec{}, estCodec{})
 }
 
 // configFingerprintView is the subset of Config that changes analysis

@@ -31,8 +31,9 @@ func BuildCFG(k *ptx.Kernel) (*CFG, error) {
 }
 
 // kernelCFG returns the control-flow graph and natural loops of k from
-// its shared static analysis, rebuilding them only when a is nil or a
-// reduced view decoded from disk, which carries no CFG.
+// its shared static analysis. Every analysis carries its CFG except an
+// empty body's, so only a nil a (Compile) or an empty body reaches
+// BuildCFG, which rejects the empty body.
 func kernelCFG(k *ptx.Kernel, a *ptxanalysis.KernelAnalysis) (*CFG, []ptxanalysis.Loop, error) {
 	if a != nil && a.CFG != nil {
 		return a.CFG, a.Loops, nil

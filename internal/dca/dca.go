@@ -194,15 +194,20 @@ func analyzeKernelLaunch(ctx context.Context, f *kernelFacts, l ptxgen.Launch, o
 		if err != nil {
 			return nil, err
 		}
+		// The launch identity is re-stamped on every read below, so the
+		// shared entry (and the stored record) carries none: its bytes
+		// do not depend on which content-identical launch wrote it.
+		kr.Kernel, kr.Node, kr.WorkingSetBytes = "", "", 0
 		return &kr, nil
 	})
 	if err != nil {
 		return KernelReport{}, hit, err
 	}
-	// The cached report may come from a content-identical kernel under a
-	// different name or launch identity; re-stamp the launch-specific
-	// fields (none of which influence the counts) and detach the class
-	// histogram so callers cannot mutate the shared entry.
+	// The cached report is shared by every content-identical launch, and
+	// records from older stores carry their first writer's identity;
+	// stamp the launch-specific fields (none of which influence the
+	// counts) and detach the class histogram so callers cannot mutate
+	// the shared entry.
 	kr := *(v.(*KernelReport))
 	kr.Kernel = k.Name
 	kr.Node = l.Node

@@ -373,15 +373,18 @@ type engine struct {
 	d   *ptx.DecodedKernel
 	g   *cfg.Graph
 	res *Result
+	// state is the one exit state transferBlock works in; every caller
+	// copies or joins what it needs from it before the next call.
+	state []Value
 }
 
 // transferBlock interprets one block from its entry state and returns
-// the exit state. The input is not mutated. When sink is non-nil, the
-// per-instruction facts (memory accesses, undef uses) are appended to
-// it — the derivation pass's mode.
+// the exit state, valid until the next call. The input is not mutated.
+// When sink is non-nil, the per-instruction facts (memory accesses,
+// undef uses) are appended to it — the derivation pass's mode.
 func (e *engine) transferBlock(bi int, in []Value, sink *Result) []Value {
-	st := make([]Value, len(in))
-	copy(st, in)
+	st := append(e.state[:0], in...)
+	e.state = st
 	b := e.g.Blocks[bi]
 	for i := b.Start; i < b.End; i++ {
 		if sink != nil {

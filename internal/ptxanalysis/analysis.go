@@ -197,7 +197,9 @@ func AnalyzeModuleCachedContext(ctx context.Context, m *ptx.Module, c *analysisc
 // the static features, the lint and the DCA all read. On a hit from a
 // content-identical kernel under a different name, the analysis is
 // shallow-copied with its identity re-stamped; the name-free structures
-// (CFG, loops, the block features) are shared read-only. A disk hit carries no CFG.
+// (CFG, loops, the block features) are shared read-only. The memo is
+// memory-only: no disk tier persists the analysis, which a fresh
+// process derives again from the kernel text.
 func AnalyzeKernelCached(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache) (*KernelAnalysis, analysiscache.Digest, error) {
 	if c == nil {
 		a, err := AnalyzeKernelContext(ctx, k)

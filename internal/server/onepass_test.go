@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cnnperf/internal/analysiscache"
@@ -80,11 +81,11 @@ func TestLintReadsPredictAnalysis(t *testing.T) {
 // TestStoreSkipsLegacyRecords boots replicas on a store, and on a
 // snapshot of it, that still hold records of namespaces older builds
 // wrote and this one has no codec for: lint/ (the DCA gate's findings,
-// from builds with a separate lint namespace) and dcac/ (compiled DCA
-// bytecode, from builds that persisted it; the bytecode is now rebuilt
-// from the kernel text). Both boots must open, never read those records
-// (no decode error, every payload left in place) and answer
-// byte-identically to a cold process.
+// from builds with a separate lint namespace), dcac/ (compiled DCA
+// bytecode) and ptxa/ (static analyses); the bytecode and the analyses
+// are now rebuilt from the kernel text. Both boots must open, never
+// read those records (no decode error, every payload left in place) and
+// answer byte-identically to a cold process.
 func TestStoreSkipsLegacyRecords(t *testing.T) {
 	src, m := alexnetPTX(t)
 	dir := t.TempDir()
@@ -107,7 +108,28 @@ func TestStoreSkipsLegacyRecords(t *testing.T) {
 				analysiscache.KernelKey("dcac", k, "full=false;maxsteps="+steps+";layout=2"), `{"version":1}`})
 		}
 	}
-	for _, ns := range []string{"lint", "dcac"} {
+	// ptxa records as the builds that persisted them wrote them, under
+	// the keys they looked up for these kernels: real payloads, which a
+	// build that still read the namespace would serve from disk.
+	ptxaFile, err := os.ReadFile("testdata/legacy_ptxa_alexnet.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptxaKeys := make(map[string]bool)
+	for _, line := range strings.Split(strings.TrimSpace(string(ptxaFile)), "\n") {
+		key, payload, ok := strings.Cut(line, "\t")
+		if !ok || !strings.HasPrefix(payload, `{"version":1,`) {
+			t.Fatalf("malformed legacy ptxa line %.80q", line)
+		}
+		legacy = append(legacy, record{"ptxa", key, payload})
+		ptxaKeys[key] = true
+	}
+	for _, k := range m.Kernels {
+		if key := analysiscache.KernelKey("ptxa", k); !ptxaKeys[key] {
+			t.Fatalf("no legacy ptxa record for kernel %s (%s)", k.Name, key)
+		}
+	}
+	for _, ns := range []string{"lint", "dcac", "ptxa"} {
 		if err := store.EnsureNamespace(ns, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -179,8 +201,9 @@ func TestStoreSkipsLegacyRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inSnap["lint"] == 0 || inSnap["dcac"] == 0 {
-		t.Fatalf("snapshot holds %d lint and %d dcac records, want both", inSnap["lint"], inSnap["dcac"])
+	if inSnap["lint"] == 0 || inSnap["dcac"] == 0 || inSnap["ptxa"] != len(ptxaKeys) {
+		t.Fatalf("snapshot holds %d lint, %d dcac and %d ptxa records, want all three (%d ptxa)",
+			inSnap["lint"], inSnap["dcac"], inSnap["ptxa"], len(ptxaKeys))
 	}
 	s2, ts2 := newStoreTestServer(t, server.Config{SnapshotFile: snap})
 	if got := answers(ts2.URL); !reflect.DeepEqual(got, cold) {
