@@ -97,33 +97,6 @@ func TestBlockVisitsCountedLoop(t *testing.T) {
 	}
 }
 
-// TestBlockVisitsReferenceMode: under the reference interpreter the
-// bytecode is compiled on the side purely for the visit profile, which
-// must match the bytecode engine's.
-func TestBlockVisitsReferenceMode(t *testing.T) {
-	k := guardedKernel(t, 48)
-	l := ptxgen.Launch{Kernel: "guard", GridX: 2, BlockX: 32, Threads: 48}
-	ref, err := AnalyzeKernelLaunch(k, l, Options{BlockCounts: true, Exec: ExecOptions{Reference: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := AnalyzeKernelLaunch(k, l, Options{BlockCounts: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.BlockVisits) != len(fast.BlockVisits) {
-		t.Fatalf("reference visits %v != bytecode visits %v", ref.BlockVisits, fast.BlockVisits)
-	}
-	for i := range ref.BlockVisits {
-		if ref.BlockVisits[i] != fast.BlockVisits[i] {
-			t.Errorf("BlockVisits[%d]: reference %d != bytecode %d", i, ref.BlockVisits[i], fast.BlockVisits[i])
-		}
-	}
-	if ref.Executed != fast.Executed {
-		t.Errorf("Executed: reference %d != bytecode %d", ref.Executed, fast.Executed)
-	}
-}
-
 // TestBlockVisitsCacheDetached: a cache hit must hand back a private
 // copy of the visit profile, and the BlockCounts knob must key the
 // cache (a profile-free entry cannot satisfy a profiled request).

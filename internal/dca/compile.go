@@ -158,10 +158,9 @@ type CompiledKernel struct {
 
 // Compile lowers the kernel's control slice to bytecode under the given
 // executor options (Full and MaxSteps are baked in; cache keys must
-// include them). Errors are reserved for structural impossibilities —
+// include them). It fails only when the slice does not cover the body;
 // per-instruction problems lower to lazily-erroring bytecode so the
 // compiled kernel mirrors the reference interpreter's behavior exactly.
-// Callers fall back to ExecuteThread when Compile fails.
 func Compile(k *ptx.Kernel, slice *ControlSlice, opts ExecOptions) (*CompiledKernel, error) {
 	g, loops, _ := kernelCFG(k, nil)
 	return compile(k, slice, opts, g, loops)

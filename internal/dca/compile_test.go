@@ -321,49 +321,62 @@ func withoutVisits(r *Report) *Report {
 	return &c
 }
 
-// TestCompiledMatchesReferenceOnZoo is the zoo-wide equivalence gate:
-// with the compiled engine, AnalyzeProgram must reproduce the reference
-// interpreter's reports byte for byte on every CNN, with the analysis
-// cache on and off. Two legs run without BlockCounts and match the
-// baseline minus its block visits: the compiled engine as the pipeline
-// runs it by default, and the reference interpreter alone, which then
-// builds no bytecode at all. Byte-for-byte is literal: beyond
-// DeepEqual, every KernelReport must serialize to identical bytes
-// across engines. -short runs a 4-model subset.
+// TestCompiledMatchesReferenceOnZoo is the zoo-wide equivalence gate.
+// Every launch's representative threads — the in-bounds one and, when
+// the grid overcovers, the out-of-bounds one — run on the compiled
+// engine and on the reference interpreter, which must agree on the
+// whole ExecResult and on the error text. AnalyzeProgram's report must
+// then not depend on the analysis cache, and without BlockCounts it
+// must be the profiled report minus its block visits: beyond
+// DeepEqual, every KernelReport must serialize to identical bytes.
+// -short runs a 4-model subset.
 func TestCompiledMatchesReferenceOnZoo(t *testing.T) {
 	models := zoo.TableIOrder
 	if testing.Short() {
 		models = []string{"alexnet", "mobilenetv2", "resnet50v2", "inceptionv3"}
 	}
+	fr := &frame{}
 	for _, name := range models {
-		prog, err := ptxgen.Compile(zoo.MustBuild(name), ptxgen.Options{})
+		prog := compileZoo(t, name)
+		for i, l := range prog.Launches {
+			k := prog.Module.Kernel(l.Kernel)
+			slice := BuildControlSlice(k, BuildDepGraph(k))
+			ck := compileFor(t, k, ExecOptions{})
+			ctxs := []ThreadCtx{{NTid: int64(l.BlockX), NCtaID: int64(l.GridX)}}
+			if int64(l.GridX)*int64(l.BlockX) > l.Threads {
+				ctxs = append(ctxs, ThreadCtx{CtaID: int64(l.GridX) - 1, Tid: int64(l.BlockX) - 1, NTid: int64(l.BlockX), NCtaID: int64(l.GridX)})
+			}
+			for _, ctx := range ctxs {
+				want, werr := ExecuteThread(k, slice, l.Params, ctx, ExecOptions{})
+				got, gerr := ck.execute(k, l.Params, ctx, fr, nil)
+				if !sameRun(want, werr, got, gerr) {
+					t.Fatalf("%s launch %d (%s, ctx %+v): engines diverged:\nreference: %+v err=%v\ncompiled:  %+v err=%v",
+						name, i, k.Name, ctx, want, werr, got, gerr)
+				}
+			}
+		}
+		base, err := AnalyzeProgram(prog, Options{BlockCounts: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ref, err := AnalyzeProgram(prog, Options{Exec: ExecOptions{Reference: true}, BlockCounts: true})
-		if err != nil {
-			t.Fatalf("%s reference: %v", name, err)
-		}
-		engines := []struct {
+		legs := []struct {
 			name string
 			opts Options
 		}{
-			{"compiled", Options{BlockCounts: true}},
-			{"compiled+cache", Options{Cache: analysiscache.New(0), BlockCounts: true}},
-			{"compiled, no visits", Options{}},
-			{"reference, no visits", Options{Exec: ExecOptions{Reference: true}}},
+			{"cache", Options{Cache: analysiscache.New(0), BlockCounts: true}},
+			{"no visits", Options{}},
 		}
-		for _, eng := range engines {
-			got, err := AnalyzeProgram(prog, eng.opts)
+		for _, leg := range legs {
+			got, err := AnalyzeProgram(prog, leg.opts)
 			if err != nil {
-				t.Fatalf("%s %s: %v", name, eng.name, err)
+				t.Fatalf("%s %s: %v", name, leg.name, err)
 			}
-			want := ref
-			if !eng.opts.BlockCounts {
-				want = withoutVisits(ref)
+			want := base
+			if !leg.opts.BlockCounts {
+				want = withoutVisits(base)
 			}
 			if !reflect.DeepEqual(stripTime(want), stripTime(got)) {
-				t.Errorf("%s: %s report diverges from reference", name, eng.name)
+				t.Errorf("%s: %s report diverges", name, leg.name)
 				continue
 			}
 			for i := range got.Kernels {
@@ -373,8 +386,8 @@ func TestCompiledMatchesReferenceOnZoo(t *testing.T) {
 					t.Fatalf("%s: marshal: %v / %v", name, werr, gerr)
 				}
 				if !bytes.Equal(wb, gb) {
-					t.Errorf("%s: %s kernel %d serializes differently:\nref: %s\ngot: %s",
-						name, eng.name, i, wb, gb)
+					t.Errorf("%s: %s kernel %d serializes differently:\nwant: %s\ngot:  %s",
+						name, leg.name, i, wb, gb)
 					break
 				}
 			}

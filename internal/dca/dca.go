@@ -44,9 +44,8 @@ type KernelReport struct {
 	// BlockVisits is the launch-total execution count per CFG basic
 	// block (cfg.Build block order, shared with ptxanalysis), scaled by
 	// thread population like Executed. Populated only under
-	// Options.BlockCounts, and nil when the kernel's control slice
-	// cannot be compiled to bytecode — consumers must fall back to
-	// unweighted static block features.
+	// Options.BlockCounts; without it consumers fall back to unweighted
+	// static block features.
 	BlockVisits []int64
 }
 
@@ -106,10 +105,10 @@ type kernelFacts struct {
 
 	prepared bool
 	cfg      *CFG
-	cfgErr   error // the structural CFG failure, reported per launch when the gate is skipped
+	prepErr  error // the structural CFG or compile failure, reported per launch when the gate is skipped
 	g        *DepGraph
 	slice    *ControlSlice
-	ck       *CompiledKernel // the engine, or under Reference mode only the block-visit profiler
+	ck       *CompiledKernel // the bytecode every launch of the kernel executes
 }
 
 // gate rejects kernels whose static analysis reports error-severity
@@ -161,18 +160,15 @@ func (f *kernelFacts) prepare(ctx context.Context, opts Options) *kernelFacts {
 	_, span := obs.Start(ctx, "dca.compile", obs.String("kernel", f.k.Name))
 	defer span.End()
 	var loops []ptxanalysis.Loop
-	if f.cfg, loops, f.cfgErr = kernelCFG(f.k, f.a); f.cfgErr != nil {
+	if f.cfg, loops, f.prepErr = kernelCFG(f.k, f.a); f.prepErr != nil {
 		return f
 	}
 	f.g = BuildDepGraph(f.k)
 	f.slice = BuildControlSlice(f.k, f.g)
-	if !opts.Exec.Reference || opts.BlockCounts {
-		// The bytecode is derived, never cached: compiling costs less
-		// than decoding a stored copy, and every launch of the kernel in
-		// one AnalyzeProgram call shares f. A nil ck (a compile failure)
-		// falls back to the reference interpreter.
-		f.ck, _ = compile(f.k, f.slice, opts.Exec, f.cfg, loops)
-	}
+	// The bytecode is derived, never cached: compiling costs less than
+	// decoding a stored copy, and every launch of the kernel in one
+	// AnalyzeProgram call shares f.
+	f.ck, f.prepErr = compile(f.k, f.slice, opts.Exec, f.cfg, loops)
 	return f
 }
 
@@ -227,22 +223,24 @@ func analyzeKernelLaunch(ctx context.Context, f *kernelFacts, l ptxgen.Launch, o
 // the canonical kernel text plus every launch and executor knob that can
 // influence the counted result. WorkingSetBytes and the node identity
 // are deliberately excluded — they are carried through the report but do
-// not affect the abstract execution.
+// not affect the abstract execution. The literal "ref=false" keeps the
+// key bytes of stored records from when the executor had a reference
+// mode (TestLaunchKeyGolden).
 func launchKey(f *kernelFacts, l ptxgen.Launch, opts Options) string {
 	var params strings.Builder
 	for i, p := range f.k.Params {
 		fmt.Fprintf(&params, "%d=%d;", i, l.Params[p.Name])
 	}
 	return f.d.Key("dca",
-		fmt.Sprintf("grid=%d;block=%d;threads=%d;full=%t;maxsteps=%d;lint=%t;ref=%t;bb=%t",
-			l.GridX, l.BlockX, l.Threads, opts.Exec.Full, opts.Exec.MaxSteps, opts.SkipLint, opts.Exec.Reference, opts.BlockCounts),
+		fmt.Sprintf("grid=%d;block=%d;threads=%d;full=%t;maxsteps=%d;lint=%t;ref=false;bb=%t",
+			l.GridX, l.BlockX, l.Threads, opts.Exec.Full, opts.Exec.MaxSteps, opts.SkipLint, opts.BlockCounts),
 		params.String())
 }
 
 // analyzeKernelLaunchUncached is the memoization-free analysis body.
 func analyzeKernelLaunchUncached(f *kernelFacts, l ptxgen.Launch, opts Options, fr *frame) (KernelReport, error) {
-	if f.cfgErr != nil { // structural validation (the gate subsumes it)
-		return KernelReport{}, f.cfgErr
+	if f.prepErr != nil { // structural validation (the gate subsumes it)
+		return KernelReport{}, f.prepErr
 	}
 	k, slice := f.k, f.slice
 
@@ -263,42 +261,20 @@ func analyzeKernelLaunchUncached(f *kernelFacts, l ptxgen.Launch, opts Options, 
 	oob := total - active
 	runOob := oob > 0 && active <= total
 
-	// Block-count instrumentation: only the compiled engine carries the
-	// per-instruction visit counters, so a kernel the compiler rejects
-	// reports nil BlockVisits.
 	var inVisits, oobVisits []int64
-	if opts.BlockCounts && f.ck != nil {
+	if opts.BlockCounts {
 		inVisits = fr.visitCounts(0, len(k.Body))
 		if runOob {
 			oobVisits = fr.visitCounts(1, len(k.Body))
 		}
 	}
-	visitsOK := true
-	// Engine selection: the compiled engine runs each representative
-	// thread. opts.Exec.Reference (or a compiler bailout) runs the
-	// reference interpreter instead; under Reference mode the compiled
-	// engine then replays the thread purely for its visit profile — the
-	// engines are differentially verified identical, so the replay
-	// cannot change the report.
-	runThread := func(tc ThreadCtx, visits []int64) (ExecResult, error) {
-		if f.ck != nil && !opts.Exec.Reference {
-			return f.ck.execute(k, l.Params, tc, fr, visits)
-		}
-		res, err := ExecuteThread(k, slice, l.Params, tc, opts.Exec)
-		if err == nil && visits != nil {
-			if _, verr := f.ck.execute(k, l.Params, tc, fr, visits); verr != nil {
-				visitsOK = false
-			}
-		}
-		return res, err
-	}
 	inCtx := ThreadCtx{CtaID: 0, Tid: 0, NTid: int64(l.BlockX), NCtaID: int64(l.GridX)}
 	oobCtx := ThreadCtx{CtaID: int64(l.GridX) - 1, Tid: int64(l.BlockX) - 1, NTid: int64(l.BlockX), NCtaID: int64(l.GridX)}
-	inRes, inErr := runThread(inCtx, inVisits)
+	inRes, inErr := f.ck.execute(k, l.Params, inCtx, fr, inVisits)
 	var oobRes ExecResult
 	var oobErr error
 	if inErr == nil && runOob {
-		oobRes, oobErr = runThread(oobCtx, oobVisits)
+		oobRes, oobErr = f.ck.execute(k, l.Params, oobCtx, fr, oobVisits)
 	}
 	if inErr != nil {
 		return rep, fmt.Errorf("dca: kernel %s: %w", k.Name, inErr)
@@ -331,7 +307,7 @@ func analyzeKernelLaunchUncached(f *kernelFacts, l ptxgen.Launch, opts Options, 
 			}
 		}
 	}
-	if inVisits != nil && visitsOK {
+	if inVisits != nil {
 		// Collapse the per-instruction profile to per-block launch
 		// totals: a block's visit count is its first instruction's (an
 		// early thread exit can starve a block's tail, never its head).

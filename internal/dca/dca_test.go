@@ -597,9 +597,9 @@ func TestLoopIterationReporting(t *testing.T) {
 // consumes: the trace length equals the in-bounds per-thread step count.
 func TestTraceThreadDirect(t *testing.T) {
 	prog := compileSmall(t)
-	for i, l := range prog.Launches {
+	for _, l := range prog.Launches {
 		k := prog.Module.Kernel(l.Kernel)
-		trace, err := TraceThread(k, LaunchInfo{BlockX: l.BlockX, GridX: l.GridX, Params: l.Params}, 0, ExecOptions{})
+		trace, err := TraceThread(k, l, 0)
 		if err != nil {
 			t.Fatalf("trace %s: %v", l.Kernel, err)
 		}
@@ -610,11 +610,12 @@ func TestTraceThreadDirect(t *testing.T) {
 		if int64(len(trace)) != kr.PerThread {
 			t.Errorf("%s: trace length %d != per-thread steps %d", l.Kernel, len(trace), kr.PerThread)
 		}
-		_ = i
 	}
 	// The length cap triggers.
-	k := prog.Module.Kernel(prog.Launches[0].Kernel)
-	if _, err := TraceThread(k, LaunchInfo{BlockX: 256, GridX: 1, Params: prog.Launches[0].Params}, 3, ExecOptions{}); err == nil {
-		t.Error("tiny maxLen should error")
+	l := prog.Launches[0]
+	k := prog.Module.Kernel(l.Kernel)
+	_, err := TraceThread(k, l, 3)
+	if want := "dca: trace of kernel " + strconv.Quote(k.Name) + " exceeds 3 instructions"; err == nil || err.Error() != want {
+		t.Errorf("tiny maxLen: err = %v, want %q", err, want)
 	}
 }

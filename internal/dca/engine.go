@@ -11,13 +11,14 @@ import (
 )
 
 // The compiled engine executes one representative thread over the
-// bytecode, instruction for instruction as the reference interpreter
-// (ExecuteThread) would: the same counts, and on failure the same error
-// text. The analysis runs it at most twice per launch — once for the
-// in-bounds representative and, when the grid overcovers, once for the
-// out-of-bounds one. Counted-only stretches are charged in O(classes)
-// and affine loops in closed form, so the cost tracks the interpreted
-// slice rather than the dynamic instruction count.
+// bytecode, instruction for instruction as the tests' tree-walking
+// reference interpreter (ExecuteThread) would: the same counts, and on
+// failure the same error text. The analysis runs it at most twice per
+// launch — once for the in-bounds representative and, when the grid
+// overcovers, once for the out-of-bounds one. Counted-only stretches are
+// charged in O(classes) and affine loops in closed form, so the cost
+// tracks the interpreted slice rather than the dynamic instruction
+// count.
 
 // frame is the reusable scratch state of compiled execution: one
 // register file with its written bits, the launch's parameter values
@@ -84,8 +85,8 @@ func BatchStats() BatchExecStats {
 }
 
 // Execute runs one thread over the compiled bytecode and returns exactly
-// what ExecuteThread returns for the same thread. It allocates a fresh
-// frame; hot callers reuse one through execute.
+// what the reference interpreter returns for the same thread. It
+// allocates a fresh frame; hot callers reuse one through execute.
 func (c *CompiledKernel) Execute(k *ptx.Kernel, params map[string]int64, ctx ThreadCtx) (ExecResult, error) {
 	return c.execute(k, params, ctx, &frame{}, nil)
 }
@@ -96,8 +97,6 @@ func (c *CompiledKernel) Execute(k *ptx.Kernel, params map[string]int64, ctx Thr
 // iterations. With a warm frame the call performs no heap allocations
 // on the success path.
 func (c *CompiledKernel) execute(k *ptx.Kernel, params map[string]int64, ctx ThreadCtx, fr *frame, visits []int64) (ExecResult, error) {
-	engineRuns.Add(1)
-	fr.bind(c, k, params)
 	t := thread{c: c, k: k, params: params, ctx: ctx, fr: fr, visits: visits}
 	err := t.run()
 	return t.res, err
@@ -112,12 +111,17 @@ type thread struct {
 	ctx    ThreadCtx
 	fr     *frame
 	visits []int64
-	res    ExecResult
+	// trace, when non-nil, receives the class of every executed
+	// instruction in execution order (TraceThread).
+	trace *[]ptx.Class
+	res   ExecResult
 }
 
-// run executes the thread to completion.
+// run binds the frame and executes the thread to completion.
 func (t *thread) run() error {
+	engineRuns.Add(1)
 	c, fr := t.c, t.fr
+	fr.bind(c, t.k, t.params)
 	n := int32(len(c.code))
 	pc := int32(0)
 	for pc < n {
@@ -144,9 +148,10 @@ func (t *thread) run() error {
 				return stepLimitErr(t.k, c.maxSteps)
 			}
 			t.res.Steps += run
-			base, top := int(pc)*ptx.NumClasses, int(q)*ptx.NumClasses
-			for cl := 0; cl < ptx.NumClasses; cl++ {
-				t.res.PerClass[cl] += c.classPrefix[top+cl] - c.classPrefix[base+cl]
+			lo := c.classPrefix[int(pc)*ptx.NumClasses:][:ptx.NumClasses]
+			hi := c.classPrefix[int(q)*ptx.NumClasses:][:ptx.NumClasses]
+			for cl := range t.res.PerClass {
+				t.res.PerClass[cl] += hi[cl] - lo[cl]
 			}
 			t.countVisits(pc, q, 1)
 			pc = q
@@ -198,13 +203,20 @@ func (t *thread) run() error {
 }
 
 // countVisits charges the executed pc range [pc, q) n times to the
-// visit profile, when there is one.
+// visit profile and the class trace, when there are any. Callers pass
+// ranges in execution order; a closed-form loop passes its block with
+// n iterations, which is exact because only single-block loops get a
+// closed form.
 func (t *thread) countVisits(pc, q int32, n int64) {
-	if t.visits == nil {
-		return
+	if t.visits != nil {
+		for i := pc; i < q; i++ {
+			t.visits[i] += n
+		}
 	}
-	for i := pc; i < q; i++ {
-		t.visits[i] += n
+	if t.trace != nil {
+		for ; n > 0; n-- {
+			*t.trace = append(*t.trace, t.c.class[pc:q]...)
+		}
 	}
 }
 
@@ -458,7 +470,18 @@ func (c *CompiledKernel) evalErr(k *ptx.Kernel, r ref) error {
 	return fmt.Errorf("dca: kernel %q: internal operand error", k.Name)
 }
 
+// stepLimitError is the runaway-execution abort: the thread would
+// execute more than maxSteps instructions.
+type stepLimitError struct {
+	kernel   string
+	maxSteps int64
+}
+
+func (e *stepLimitError) Error() string {
+	return fmt.Sprintf("dca: kernel %q exceeded %d steps (infinite loop?)", e.kernel, e.maxSteps)
+}
+
 // stepLimitErr is the shared runaway-execution abort.
 func stepLimitErr(k *ptx.Kernel, maxSteps int64) error {
-	return fmt.Errorf("dca: kernel %q exceeded %d steps (infinite loop?)", k.Name, maxSteps)
+	return &stepLimitError{kernel: k.Name, maxSteps: maxSteps}
 }

@@ -1,96 +1,38 @@
 package dca
 
 import (
+	"errors"
 	"fmt"
 
 	"cnnperf/internal/ptx"
+	"cnnperf/internal/ptxgen"
 )
 
-// TraceThread abstractly executes one in-bounds thread of a kernel and
-// returns its dynamic instruction trace as a sequence of instruction
-// classes — the input a cycle-level simulator replays per warp. maxLen
-// bounds the trace (0 = 10M).
-func TraceThread(k *ptx.Kernel, l launchLike, maxLen int, opts ExecOptions) ([]ptx.Class, error) {
+// TraceThread abstractly executes the in-bounds representative thread
+// of a launch on the compiled engine and returns its dynamic
+// instruction trace as a sequence of instruction classes — the input a
+// cycle-level simulator replays per warp. Skip-runs and closed-form
+// loops expand into the classes they stand for. maxLen bounds the trace
+// (0 = 10M).
+func TraceThread(k *ptx.Kernel, l ptxgen.Launch, maxLen int) ([]ptx.Class, error) {
 	if maxLen <= 0 {
 		maxLen = 10_000_000
 	}
-	g := BuildDepGraph(k)
-	slice := BuildControlSlice(k, g)
-	ctx := ThreadCtx{CtaID: 0, Tid: 0, NTid: int64(l.blockX()), NCtaID: int64(l.gridX())}
-
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = int64(maxLen) + 1
+	ck, err := Compile(k, BuildControlSlice(k, BuildDepGraph(k)), ExecOptions{MaxSteps: int64(maxLen)})
+	if err != nil {
+		return nil, err
 	}
 	trace := make([]ptx.Class, 0, 1024)
-	env := make(map[string]int64, 32)
-	n := len(k.Body)
-	pc := 0
-	for pc < n {
-		if len(trace) >= maxLen {
+	t := thread{
+		c: ck, k: k, params: l.Params, fr: &frame{}, trace: &trace,
+		ctx: ThreadCtx{NTid: int64(l.BlockX), NCtaID: int64(l.GridX)},
+	}
+	if err := t.run(); err != nil {
+		var limit *stepLimitError
+		if errors.As(err, &limit) {
 			return nil, fmt.Errorf("dca: trace of kernel %q exceeds %d instructions", k.Name, maxLen)
 		}
-		in := k.Body[pc]
-		trace = append(trace, in.Class())
-		interpret := opts.Full || slice.InSlice[pc]
-		if !interpret {
-			pc++
-			continue
-		}
-		taken := true
-		if in.Pred != "" {
-			v, ok := env[in.Pred]
-			if !ok {
-				return nil, fmt.Errorf("dca: kernel %q pc %d: predicate %s undefined", k.Name, pc, in.Pred)
-			}
-			taken = v != 0
-			if in.PredNeg {
-				taken = !taken
-			}
-		}
-		if ptx.IsBranch(in.Opcode) {
-			if taken {
-				tgt, err := k.Target(in.Operands[0])
-				if err != nil {
-					return nil, fmt.Errorf("dca: %w", err)
-				}
-				pc = tgt
-			} else {
-				pc++
-			}
-			continue
-		}
-		if ptx.IsExit(in.Opcode) {
-			return trace, nil
-		}
-		if taken {
-			if err := step(k, in, pc, env, l.params(), ctx, opts); err != nil {
-				return nil, err
-			}
-		}
-		pc++
+		return nil, err
 	}
 	return trace, nil
 }
-
-// launchLike decouples TraceThread from the ptxgen.Launch struct (avoids
-// a hard dependency direction while letting callers pass launches).
-type launchLike interface {
-	blockX() int
-	gridX() int
-	params() map[string]int64
-}
-
-// LaunchInfo is a minimal launchLike implementation.
-type LaunchInfo struct {
-	// BlockX is the threads per block.
-	BlockX int
-	// GridX is the number of blocks.
-	GridX int
-	// Params are the kernel parameter values.
-	Params map[string]int64
-}
-
-func (l LaunchInfo) blockX() int              { return l.BlockX }
-func (l LaunchInfo) gridX() int               { return l.GridX }
-func (l LaunchInfo) params() map[string]int64 { return l.Params }

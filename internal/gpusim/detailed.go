@@ -188,7 +188,7 @@ func SimulateDetailed(prog *ptxgen.Program, rep *dca.Report, spec gpu.Spec, cfg 
 		dramCyclesPerLoad := 128.0 * missRatio / bytesPerCyclePerSM
 		// Load latency blends the L2-hit and DRAM-miss paths.
 		loadLatency := int64(60 + missRatio*290)
-		trace, err := dca.TraceThread(k, dca.LaunchInfo{BlockX: l.BlockX, GridX: l.GridX, Params: l.Params}, 0, dca.ExecOptions{})
+		trace, err := dca.TraceThread(k, l, 0)
 		if err != nil {
 			return nil, fmt.Errorf("gpusim: tracing %s: %w", l.Kernel, err)
 		}
@@ -201,7 +201,6 @@ func SimulateDetailed(prog *ptxgen.Program, rep *dca.Report, spec gpu.Spec, cfg 
 			resident = maxResidentWarps
 		}
 		waveCycles := simulateKernelDetailed(trace, resident, dramCyclesPerLoad, loadLatency)
-		_ = k
 		waves := float64(warpsPerSM) / float64(maxResidentWarps)
 		if waves < 1 {
 			waves = 1
@@ -212,7 +211,6 @@ func SimulateDetailed(prog *ptxgen.Program, rep *dca.Report, spec gpu.Spec, cfg 
 			Kernel: l.Kernel,
 			Cycles: cycles,
 		})
-		_ = i
 	}
 	if res.Cycles <= 0 {
 		return nil, fmt.Errorf("gpusim: detailed simulation produced no cycles")

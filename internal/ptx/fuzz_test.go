@@ -16,7 +16,8 @@ import (
 // panic. Accepted kernels additionally flow through the shared analysis
 // cache: their content fingerprint must survive a print/reparse round
 // trip, and the memoized dynamic code analysis must agree with the
-// uncached one.
+// uncached one. The compiled engine's differential check against the
+// reference interpreter is dca's FuzzEngineDifferential.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		// The Fig. 2-style nvcc fragment of TestParseFig2Style.
@@ -144,53 +145,6 @@ LBB0_1:
 				if perr == nil && cached.Executed != plain.Executed {
 					t.Fatalf("cached analysis of %s changed executed count %d -> %d",
 						k.Name, plain.Executed, cached.Executed)
-				}
-			}
-		}
-		// Differential engine check: the compiled register-slot bytecode
-		// engine must agree with the reference interpreter on Steps,
-		// Interpreted, BackBranches and the per-class histogram — and on
-		// whether execution fails, with the same error text — for every
-		// accepted kernel, in both sliced and full mode, as one lane and
-		// as the in-bounds/out-of-bounds pair the analysis runs.
-		for _, k := range m.Kernels {
-			params := make(map[string]int64, len(k.Params))
-			for i, p := range k.Params {
-				params[p.Name] = int64(7 + 13*i)
-			}
-			g := dca.BuildDepGraph(k)
-			slice := dca.BuildControlSlice(k, g)
-			one := []dca.ThreadCtx{{CtaID: 1, Tid: 3, NTid: 32, NCtaID: 2}}
-			pair := []dca.ThreadCtx{
-				{CtaID: 0, Tid: 0, NTid: 32, NCtaID: 2},
-				{CtaID: 1, Tid: 31, NTid: 32, NCtaID: 2},
-			}
-			for _, full := range []bool{false, true} {
-				opts := dca.ExecOptions{MaxSteps: 10_000, Full: full}
-				ck, cerr := dca.Compile(k, slice, opts)
-				if cerr != nil {
-					continue // compiler bailout: production falls back to the reference
-				}
-				for _, ctxs := range [][]dca.ThreadCtx{one, pair} {
-					for _, ctx := range ctxs {
-						want, werr := dca.ExecuteThread(k, slice, params, ctx, opts)
-						got, gerr := ck.Execute(k, params, ctx)
-						if (werr == nil) != (gerr == nil) {
-							t.Fatalf("engines disagree on error for %s (full=%t, ctx %+v): reference=%v compiled=%v",
-								k.Name, full, ctx, werr, gerr)
-						}
-						if werr != nil {
-							if werr.Error() != gerr.Error() {
-								t.Fatalf("error text diverged for %s (full=%t, ctx %+v): reference=%v compiled=%v",
-									k.Name, full, ctx, werr, gerr)
-							}
-							continue
-						}
-						if got != want {
-							t.Fatalf("engines diverged for %s (full=%t, ctx %+v): reference=%+v compiled=%+v",
-								k.Name, full, ctx, want, got)
-						}
-					}
 				}
 			}
 		}
