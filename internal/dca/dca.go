@@ -3,7 +3,7 @@ package dca
 import (
 	"context"
 	"fmt"
-	"strings"
+	"strconv"
 	"time"
 
 	"cnnperf/internal/analysiscache"
@@ -227,14 +227,21 @@ func analyzeKernelLaunch(ctx context.Context, f *kernelFacts, l ptxgen.Launch, o
 // key bytes of stored records from when the executor had a reference
 // mode (TestLaunchKeyGolden).
 func launchKey(f *kernelFacts, l ptxgen.Launch, opts Options) string {
-	var params strings.Builder
+	b := make([]byte, 0, 256)
+	b = strconv.AppendInt(append(b, "grid="...), int64(l.GridX), 10)
+	b = strconv.AppendInt(append(b, ";block="...), int64(l.BlockX), 10)
+	b = strconv.AppendInt(append(b, ";threads="...), l.Threads, 10)
+	b = strconv.AppendBool(append(b, ";full="...), opts.Exec.Full)
+	b = strconv.AppendInt(append(b, ";maxsteps="...), opts.Exec.MaxSteps, 10)
+	b = strconv.AppendBool(append(b, ";lint="...), opts.SkipLint)
+	b = strconv.AppendBool(append(b, ";ref=false;bb="...), opts.BlockCounts)
+	launch := len(b)
 	for i, p := range f.k.Params {
-		fmt.Fprintf(&params, "%d=%d;", i, l.Params[p.Name])
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = strconv.AppendInt(append(b, '='), l.Params[p.Name], 10)
+		b = append(b, ';')
 	}
-	return f.d.Key("dca",
-		fmt.Sprintf("grid=%d;block=%d;threads=%d;full=%t;maxsteps=%d;lint=%t;ref=false;bb=%t",
-			l.GridX, l.BlockX, l.Threads, opts.Exec.Full, opts.Exec.MaxSteps, opts.SkipLint, opts.BlockCounts),
-		params.String())
+	return f.d.Key("dca", string(b[:launch]), string(b[launch:]))
 }
 
 // analyzeKernelLaunchUncached is the memoization-free analysis body.

@@ -9,10 +9,10 @@ import (
 // instruction i may consume (conservative: every definition of each
 // source register, in any block).
 type DepGraph struct {
-	// Deps[i] are the indices instruction i depends on.
+	// Deps[i] are the indices instruction i depends on: the definitions
+	// of each source register in operand order, then of the guard
+	// predicate, each register's in ascending order, without repeats.
 	Deps [][]int
-	// DefsOf maps a register name to the instructions defining it.
-	DefsOf map[string][]int
 }
 
 // Edges returns the total number of dependency edges |E|.
@@ -32,37 +32,63 @@ func regOperand(op string) string { return ptx.RegOperand(op) }
 
 // BuildDepGraph constructs the dependency graph of a kernel body.
 func BuildDepGraph(k *ptx.Kernel) *DepGraph {
-	g := &DepGraph{
-		Deps:   make([][]int, len(k.Body)),
-		DefsOf: make(map[string][]int),
-	}
-	for i, in := range k.Body {
-		if d := in.Dest(); d != "" {
-			g.DefsOf[d] = append(g.DefsOf[d], i)
+	n := len(k.Body)
+	// Registers get dense ids, interned once per defined name. The
+	// definitions of register id form a list in body order, from
+	// head[id] along next; tail[id] is its last. Each instruction
+	// defines at most one register.
+	ids := make(map[string]int32, n)
+	head, tail := make([]int32, 0, n), make([]int32, 0, n)
+	next := make([]int32, n)
+	for i := range k.Body {
+		next[i] = -1
+		d := k.Body[i].Dest()
+		if d == "" {
+			continue
 		}
-		// FMA-style opcodes also read their destination; and guarded
-		// instructions depend on their predicate's definitions.
+		if id, ok := ids[d]; ok {
+			next[tail[id]] = int32(i)
+			tail[id] = int32(i)
+		} else {
+			ids[d] = int32(len(head))
+			head = append(head, int32(i))
+			tail = append(tail, int32(i))
+		}
 	}
-	for i, in := range k.Body {
-		seen := make(map[int]bool)
-		addDefs := func(reg string) {
-			for _, d := range g.DefsOf[reg] {
-				if d != i && !seen[d] {
-					seen[d] = true
-					g.Deps[i] = append(g.Deps[i], d)
+	// Every instruction's dependencies go into one backing array, and
+	// seen[d] == i+1 once d is a dependency of instruction i. An
+	// accumulator read of the destination (fma d, a, b, d) is a source.
+	var all []int
+	end := make([]int, n)
+	seen := make([]int, n)
+	for i := range k.Body {
+		in := &k.Body[i]
+		srcs := in.Sources()
+		for s := 0; s <= len(srcs); s++ {
+			reg := in.Pred // after the sources
+			if s < len(srcs) {
+				reg = regOperand(srcs[s])
+			}
+			id, ok := ids[reg]
+			if !ok {
+				continue
+			}
+			for d := head[id]; d >= 0; d = next[d] {
+				if int(d) != i && seen[d] != i+1 {
+					seen[d] = i + 1
+					all = append(all, int(d))
 				}
 			}
 		}
-		for _, src := range in.Sources() {
-			if r := regOperand(src); r != "" {
-				addDefs(r)
-			}
+		end[i] = len(all)
+	}
+	g := &DepGraph{Deps: make([][]int, n)}
+	from := 0
+	for i, e := range end {
+		if e > from {
+			g.Deps[i] = all[from:e:e]
 		}
-		// Accumulator-style reads of the destination (fma acc,..,acc is
-		// covered by Sources; add.s32 r,r,1 likewise). Predicates:
-		if in.Pred != "" {
-			addDefs(in.Pred)
-		}
+		from = e
 	}
 	return g
 }

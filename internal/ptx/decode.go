@@ -147,9 +147,13 @@ type DecodedKernel struct {
 
 // DecodeKernel decodes the body of k.
 func DecodeKernel(k *Kernel) *DecodedKernel {
-	// Generated bodies name about one fresh register per instruction.
-	d := &DecodedKernel{Kernel: k, Insts: make([]DecodedInst, len(k.Body)), Regs: make([]string, 0, len(k.Body))}
-	ids := make(map[string]int32, len(k.Body))
+	nsrc := 0
+	for i := range k.Body {
+		nsrc += len(k.Body[i].Operands)
+	}
+	nregs := declaredRegs(k, nsrc+len(k.Body))
+	d := &DecodedKernel{Kernel: k, Insts: make([]DecodedInst, len(k.Body)), Regs: make([]string, 0, nregs)}
+	ids := make(map[string]int32, nregs)
 	intern := func(r string) int32 {
 		id, ok := ids[r]
 		if !ok {
@@ -158,10 +162,6 @@ func DecodeKernel(k *Kernel) *DecodedKernel {
 			d.Regs = append(d.Regs, r)
 		}
 		return id
-	}
-	nsrc := 0
-	for i := range k.Body {
-		nsrc += len(k.Body[i].Operands)
 	}
 	srcs := make([]Src, 0, nsrc)
 	for i := range k.Body {
@@ -214,4 +214,17 @@ func DecodeKernel(k *Kernel) *DecodedKernel {
 		}
 	}
 	return d
+}
+
+// declaredRegs is the number of registers the banks of k declare, at
+// most limit. A kernel names at most one register per operand and
+// guard, which bounds the hint a hostile declaration could inflate.
+func declaredRegs(k *Kernel, limit int) int {
+	n := 0
+	for _, r := range k.Regs {
+		if r.Count > 0 {
+			n = min(n+min(r.Count, limit), limit)
+		}
+	}
+	return n
 }

@@ -1,9 +1,6 @@
 package ptx
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Instruction is one PTX instruction: an optional guard predicate, a full
 // opcode and its operand list. For opcodes with a destination (HasDest),
@@ -46,22 +43,31 @@ func (in Instruction) Class() Class { return ClassOf(in.Opcode) }
 
 // String renders the instruction in PTX syntax.
 func (in Instruction) String() string {
-	var b strings.Builder
+	var buf [64]byte // holds a typical line without growing
+	return string(in.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the instruction in PTX syntax, as String renders it,
+// to dst and returns the extended buffer.
+func (in Instruction) AppendTo(dst []byte) []byte {
 	if in.Pred != "" {
-		b.WriteByte('@')
+		dst = append(dst, '@')
 		if in.PredNeg {
-			b.WriteByte('!')
+			dst = append(dst, '!')
 		}
-		b.WriteString(in.Pred)
-		b.WriteByte(' ')
+		dst = append(dst, in.Pred...)
+		dst = append(dst, ' ')
 	}
-	b.WriteString(in.Opcode)
-	if len(in.Operands) > 0 {
-		b.WriteByte(' ')
-		b.WriteString(strings.Join(in.Operands, ", "))
+	dst = append(dst, in.Opcode...)
+	for i, op := range in.Operands {
+		if i == 0 {
+			dst = append(dst, ' ')
+		} else {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, op...)
 	}
-	b.WriteByte(';')
-	return b.String()
+	return append(dst, ';')
 }
 
 // Param is a kernel parameter declaration.

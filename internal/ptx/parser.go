@@ -279,12 +279,17 @@ func parseInstruction(stmt string) (Instruction, error) {
 		return in, nil
 	}
 	in.Opcode = stmt[:sp]
-	ops := strings.Split(stmt[sp+1:], ",")
-	for _, o := range ops {
-		o = strings.TrimSpace(o)
-		if o != "" {
-			in.Operands = append(in.Operands, o)
+	rest := stmt[sp+1:]
+	ops := make([]string, 0, strings.Count(rest, ",")+1)
+	for more := true; more; {
+		var o string
+		o, rest, more = strings.Cut(rest, ",")
+		if o = strings.TrimSpace(o); o != "" {
+			ops = append(ops, o)
 		}
+	}
+	if len(ops) > 0 {
+		in.Operands = ops
 	}
 	return in, nil
 }
