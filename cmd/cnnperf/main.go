@@ -142,7 +142,7 @@ func dispatch(ctx context.Context, args []string) error {
 	case "analyze":
 		return runAnalyze(ctx, args[1:], cfg)
 	case "lint":
-		return runLint(args[1:], cfg)
+		return runLint(ctx, args[1:], cfg)
 	case "dataset":
 		return runDataset(ctx, args[1:], cfg)
 	case "evaluate":
@@ -198,7 +198,7 @@ func runAnalyze(ctx context.Context, args []string, cfg cnnperf.Config) error {
 	return nil
 }
 
-func runLint(args []string, cfg cnnperf.Config) error {
+func runLint(ctx context.Context, args []string, cfg cnnperf.Config) error {
 	fs := flag.NewFlagSet("lint", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	if err := fs.Parse(args); err != nil {
@@ -216,7 +216,7 @@ func runLint(args []string, cfg cnnperf.Config) error {
 		}
 	} else {
 		var err error
-		if diags, err = cnnperf.LintCNN(target, cfg); err != nil {
+		if diags, err = cnnperf.LintCNNContext(ctx, target, cfg); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -99,7 +100,7 @@ L:
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := runLint([]string{writePTX(t, tc.body)}, cfg)
+			err := runLint(context.Background(), []string{writePTX(t, tc.body)}, cfg)
 			if !errors.Is(err, tc.want) {
 				t.Errorf("runLint verdict = %v, want %v", err, tc.want)
 			}

@@ -375,6 +375,12 @@ type StaticAnalysis = ptxanalysis.ModuleAnalysis
 // per kernel. Kernels already analysed in cfg.Cache are not analysed
 // again.
 func LintCNN(name string, cfg Config) ([]Diag, error) {
+	return LintCNNContext(context.Background(), name, cfg)
+}
+
+// LintCNNContext is LintCNN recording each analysed kernel's abstract
+// interpretation as an "absint" span when ctx carries a tracer.
+func LintCNNContext(ctx context.Context, name string, cfg Config) ([]Diag, error) {
 	m, err := zoo.Build(name)
 	if err != nil {
 		return nil, err
@@ -383,7 +389,7 @@ func LintCNN(name string, cfg Config) ([]Diag, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ptxanalysis.LintCached(context.Background(), prog.Module, cfg.Cache), nil
+	return ptxanalysis.LintCached(ctx, prog.Module, cfg.Cache), nil
 }
 
 // LintPTX parses PTX assembly text and lints every kernel in it.

@@ -199,7 +199,7 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 
 	// The static pass runs first: the DCA's gate, loop detection and
 	// block-visit collapse read its per-kernel analyses.
-	static, err := staticPass(ctx, prog.Module, cfg.Cache)
+	gate, static, err := staticPass(ctx, prog.Module, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 	rep, err := dca.AnalyzeProgramContext(ctx, prog, dca.Options{
 		Cache:       cfg.Cache,
 		BlockCounts: cfg.BBFeatures,
-		Static:      static,
+		Static:      gate,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -226,15 +226,27 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 
 // staticPass runs the per-kernel static analysis of a module under the
 // "static.analysis" span: the one analysis pass per kernel that the
-// static features, the lint and the DCA all read.
-func staticPass(ctx context.Context, m *ptx.Module, c *analysiscache.Cache) (*ptxanalysis.ModuleAnalysis, error) {
+// static features, the lint and the DCA all read. It runs the full
+// level only when a feature schema reads it (cfg.StaticFeatures or
+// cfg.BBFeatures); otherwise only the gate level the DCA reads, and the
+// returned module analysis is nil.
+func staticPass(ctx context.Context, m *ptx.Module, cfg Config) (*ptxanalysis.ModuleGate, *ptxanalysis.ModuleAnalysis, error) {
 	sctx, s := obs.Start(ctx, "static.analysis")
 	defer s.End()
-	static, err := ptxanalysis.AnalyzeModuleCachedContext(sctx, m, c)
-	if err != nil && !errors.Is(err, ctx.Err()) {
-		return nil, fmt.Errorf("core: %w", err)
+	var gate *ptxanalysis.ModuleGate
+	var static *ptxanalysis.ModuleAnalysis
+	var err error
+	if cfg.StaticFeatures || cfg.BBFeatures {
+		if static, err = ptxanalysis.AnalyzeModuleCachedContext(sctx, m, cfg.Cache); err == nil {
+			gate = static.Gate()
+		}
+	} else {
+		gate, err = ptxanalysis.AnalyzeModuleGateCachedContext(sctx, m, cfg.Cache)
 	}
-	return static, err
+	if err != nil && !errors.Is(err, ctx.Err()) {
+		return nil, nil, fmt.Errorf("core: %w", err)
+	}
+	return gate, static, err
 }
 
 // Features assembles the predictor vector of this CNN on the given GPU,
@@ -254,7 +266,8 @@ func (a *ModelAnalysis) ExtendedFeatures(spec gpu.Spec) []float64 {
 }
 
 // staticVec returns the ptxanalysis predictor block (zeros when the
-// analysis is absent, e.g. deserialised legacy results).
+// analysis ran at the gate level only; Estimator.PredictContext rejects
+// that for a schema that reads the block).
 func (a *ModelAnalysis) staticVec() []float64 {
 	if a.Static == nil {
 		return make([]float64, len(ptxanalysis.FeatureNames))
@@ -354,6 +367,18 @@ func (a *ModelAnalysis) featuresFor(spec gpu.Spec, schemaLen int) []float64 {
 	default:
 		return a.Features(spec)
 	}
+}
+
+// readsStatic reports whether featuresFor fills a schema of this width
+// from the full static analysis (the static or the BB block).
+func readsStatic(schemaLen int) bool {
+	nBB := len(BBFeatureNames)
+	switch schemaLen {
+	case len(FullFeatureNames) + nBB, len(FullFeatureNames), len(StaticFeatureNames) + nBB,
+		len(StaticFeatureNames), len(ExtendedFeatureNames) + nBB, len(FeatureNames) + nBB:
+		return true
+	}
+	return false
 }
 
 // BuildDataset runs Phase 1 over the given CNNs and GPUs: each (CNN, GPU)
@@ -617,6 +642,9 @@ func (e *Estimator) PredictContext(ctx context.Context, a *ModelAnalysis, spec g
 	}
 	if err := spec.Validate(); err != nil {
 		return 0, fmt.Errorf("core: %w", err)
+	}
+	if a.Static == nil && readsStatic(len(e.Schema)) {
+		return 0, fmt.Errorf("core: the estimator reads static-analysis features; analyse %s with Config.StaticFeatures or Config.BBFeatures", a.Name)
 	}
 	_, fs := obs.Start(ctx, "features", obs.String("model", a.Name), obs.String("gpu", spec.Name))
 	x := a.featuresFor(spec, len(e.Schema))

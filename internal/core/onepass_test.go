@@ -61,35 +61,46 @@ func TestPTXAnalysisErrors(t *testing.T) {
 }
 
 // TestPTXAnalysisStaticSpan checks that the raw-PTX path records its
-// static pass as a "static.analysis" span (with the per-kernel "absint"
-// spans under it) ahead of the DCA that reads it, and that the gate
-// still records "dca.lint".
+// static pass as a "static.analysis" span ahead of the DCA that reads
+// it, and that the gate still records "dca.lint". By default the pass
+// runs the gate level only, so it has no "absint" child; with
+// StaticFeatures it runs the full level and keeps the per-kernel
+// "absint" span.
 func TestPTXAnalysisStaticSpan(t *testing.T) {
 	const src = ".version 6.0\n.target sm_61\n.address_size 64\n.visible .entry k(\n.param .u64 p0\n)\n{\nmov.u32 %r1, 0;\nret;\n}\n"
-	tr := obs.NewTracer()
-	ctx := obs.WithTracer(context.Background(), tr)
-	if _, err := AnalyzePTXContext(ctx, src, PTXOptions{}, Config{Cache: analysiscache.New(0)}); err != nil {
-		t.Fatal(err)
-	}
-	roots := tr.Roots()
-	if len(roots) != 1 || roots[0].Name() != "model.analyze" {
-		t.Fatalf("roots %v, want one model.analyze", roots)
-	}
-	var stages []string
-	children := make(map[string][]string)
-	for _, sp := range roots[0].Children() {
-		stages = append(stages, sp.Name())
-		for _, c := range sp.Children() {
-			children[sp.Name()] = append(children[sp.Name()], c.Name())
+	for _, c := range []struct {
+		name       string
+		cfg        Config
+		wantStatic []string
+	}{
+		{"default", Config{Cache: analysiscache.New(0)}, nil},
+		{"static features", Config{Cache: analysiscache.New(0), StaticFeatures: true}, []string{"absint"}},
+	} {
+		tr := obs.NewTracer()
+		ctx := obs.WithTracer(context.Background(), tr)
+		if _, err := AnalyzePTXContext(ctx, src, PTXOptions{}, c.cfg); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if want := []string{"ptx.parse", "static.analysis", "dca.analyze"}; !reflect.DeepEqual(stages, want) {
-		t.Errorf("stages %v, want %v", stages, want)
-	}
-	if got := children["static.analysis"]; !reflect.DeepEqual(got, []string{"absint"}) {
-		t.Errorf("static.analysis children %v, want [absint]", got)
-	}
-	if got := children["dca.analyze"]; len(got) == 0 || got[0] != "dca.lint" {
-		t.Errorf("dca.analyze children %v, want dca.lint first", got)
+		roots := tr.Roots()
+		if len(roots) != 1 || roots[0].Name() != "model.analyze" {
+			t.Fatalf("%s: roots %v, want one model.analyze", c.name, roots)
+		}
+		var stages []string
+		children := make(map[string][]string)
+		for _, sp := range roots[0].Children() {
+			stages = append(stages, sp.Name())
+			for _, ch := range sp.Children() {
+				children[sp.Name()] = append(children[sp.Name()], ch.Name())
+			}
+		}
+		if want := []string{"ptx.parse", "static.analysis", "dca.analyze"}; !reflect.DeepEqual(stages, want) {
+			t.Errorf("%s: stages %v, want %v", c.name, stages, want)
+		}
+		if got := children["static.analysis"]; !reflect.DeepEqual(got, c.wantStatic) {
+			t.Errorf("%s: static.analysis children %v, want %v", c.name, got, c.wantStatic)
+		}
+		if got := children["dca.analyze"]; len(got) == 0 || got[0] != "dca.lint" {
+			t.Errorf("%s: dca.analyze children %v, want dca.lint first", c.name, got)
+		}
 	}
 }

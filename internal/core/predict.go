@@ -188,14 +188,14 @@ func AnalyzePTXContext(ctx context.Context, src string, opt PTXOptions, cfg Conf
 		})
 	}
 	prog := &ptxgen.Program{Model: opt.name(), Module: m, Launches: launches}
-	static, err := staticPass(ctx, m, cfg.Cache)
+	gate, static, err := staticPass(ctx, m, cfg)
 	if err != nil {
 		return nil, err
 	}
 	rep, err := dca.AnalyzeProgramContext(ctx, prog, dca.Options{
 		Cache:  cfg.Cache,
 		Exec:   dca.ExecOptions{MaxSteps: opt.MaxSteps},
-		Static: static,
+		Static: gate,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

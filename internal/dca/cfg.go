@@ -31,10 +31,10 @@ func BuildCFG(k *ptx.Kernel) (*CFG, error) {
 }
 
 // kernelCFG returns the control-flow graph and natural loops of k from
-// its shared static analysis. Every analysis carries its CFG except an
-// empty body's, so only a nil a (Compile) or an empty body reaches
-// BuildCFG, which rejects the empty body.
-func kernelCFG(k *ptx.Kernel, a *ptxanalysis.KernelAnalysis) (*CFG, []ptxanalysis.Loop, error) {
+// the gate level of its shared static analysis. Every gate carries its
+// CFG except an empty body's, so only a nil a (Compile) or an empty
+// body reaches BuildCFG, which rejects the empty body.
+func kernelCFG(k *ptx.Kernel, a *ptxanalysis.KernelGate) (*CFG, []ptxanalysis.Loop, error) {
 	if a != nil && a.CFG != nil {
 		return a.CFG, a.Loops, nil
 	}

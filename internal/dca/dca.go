@@ -88,18 +88,20 @@ type Options struct {
 	// counter array per representative thread.
 	BlockCounts bool
 	// Static is the caller's static pass over the program's module
-	// under the same Cache, whose per-kernel analyses and digests
-	// AnalyzeProgram reads. Nil: it analyses each launched kernel itself.
-	Static *ptxanalysis.ModuleAnalysis
+	// under the same Cache, whose per-kernel gates and digests
+	// AnalyzeProgram reads. Nil: it runs the gate level of each launched
+	// kernel itself.
+	Static *ptxanalysis.ModuleGate
 }
 
-// kernelFacts is what every launch of one kernel shares: its static
-// analysis (ptxanalysis.AnalyzeKernelCached), read by the gate, loop
-// detection and the block-visit collapse; its digest, keying every
-// cache entry; and the launch-independent artifacts built by prepare.
+// kernelFacts is what every launch of one kernel shares: the gate level
+// of its static analysis (ptxanalysis.AnalyzeKernelGateCached), read by
+// the gate, loop detection and the block-visit collapse; its digest,
+// keying every cache entry; and the launch-independent artifacts built
+// by prepare.
 type kernelFacts struct {
 	k   *ptx.Kernel
-	a   *ptxanalysis.KernelAnalysis
+	a   *ptxanalysis.KernelGate
 	d   analysiscache.Digest // zero without a cache
 	err error                // the analysis failure: a structurally broken body
 
@@ -119,7 +121,7 @@ func (f *kernelFacts) gate() error {
 	if f.err != nil {
 		errs = ptxanalysis.Malformed(f.k, f.err)
 	} else {
-		errs = ptxanalysis.Errors(f.a.Diags)
+		errs = f.a.Errors
 	}
 	if len(errs) > 0 {
 		return fmt.Errorf("dca: kernel %s rejected by static analysis: %s (%d error diagnostics)",
@@ -139,7 +141,7 @@ func AnalyzeKernelLaunch(k *ptx.Kernel, l ptxgen.Launch, opts Options) (KernelRe
 		return KernelReport{}, fmt.Errorf("dca: nil kernel")
 	}
 	f := &kernelFacts{k: k}
-	f.a, f.d, f.err = ptxanalysis.AnalyzeKernelCached(context.Background(), k, opts.Cache)
+	f.a, f.d, f.err = ptxanalysis.AnalyzeKernelGateCached(k, opts.Cache)
 	if !opts.SkipLint {
 		if err := f.gate(); err != nil {
 			return KernelReport{}, err
@@ -366,7 +368,7 @@ func AnalyzeProgramContext(ctx context.Context, prog *ptxgen.Program, opts Optio
 				if st != nil {
 					f.a, f.d = st.Kernels[i], st.Digests[i]
 				} else {
-					f.a, f.d, f.err = ptxanalysis.AnalyzeKernelCached(ctx, k, opts.Cache)
+					f.a, f.d, f.err = ptxanalysis.AnalyzeKernelGateCached(k, opts.Cache)
 				}
 				facts[name] = f
 				return f, nil

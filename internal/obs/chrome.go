@@ -140,7 +140,7 @@ func appendSpanEvents(events []chromeEvent, s *Span, pid, tid int, lanes *laneAl
 	}
 	ev.Args = make(map[string]any, len(attrs)+4)
 	for _, a := range attrs {
-		ev.Args[a.Key] = attrValue(a.Value)
+		ev.Args[a.Key] = attrValue(a.Value())
 	}
 	if !ended {
 		ev.Args["unfinished"] = true

@@ -166,7 +166,15 @@ func appendAttr(b *strings.Builder, a Attr) {
 	b.WriteByte(',')
 	appendJSONString(b, a.Key)
 	b.WriteByte(':')
-	switch v := a.Value.(type) {
+	switch a.kind {
+	case kindString:
+		appendJSONString(b, a.str)
+		return
+	case kindInt:
+		b.WriteString(strconv.FormatInt(a.num, 10))
+		return
+	}
+	switch v := a.val.(type) {
 	case string:
 		appendJSONString(b, v)
 	case bool:

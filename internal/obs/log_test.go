@@ -48,7 +48,7 @@ func TestLoggerLevelFilter(t *testing.T) {
 	l.Debug("hidden")
 	l.Info("hidden")
 	l.Warn("shown")
-	l.Error("shown too", Attr{Key: "err", Value: errors.New("boom")})
+	l.Error("shown too", Any("err", errors.New("boom")))
 	lines := strings.Count(buf.String(), "\n")
 	if lines != 2 {
 		t.Fatalf("wrote %d lines, want 2:\n%s", lines, buf.String())

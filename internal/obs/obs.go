@@ -20,29 +20,60 @@ import (
 	"time"
 )
 
-// Attr is one key/value annotation on a span or log line.
+// Attr is one key/value annotation on a span or log line. String and
+// integer values are carried unboxed, so building one allocates
+// nothing: instrumented code builds attributes whether or not a tracer
+// is installed.
 type Attr struct {
-	Key   string
-	Value any
+	Key  string
+	kind attrKind
+	str  string // kindString
+	num  int64  // kindInt
+	val  any    // kindAny
+}
+
+// attrKind says which field of an Attr carries its value.
+type attrKind uint8
+
+const (
+	kindAny attrKind = iota
+	kindString
+	kindInt
+)
+
+// Value returns the attribute's value: a string for String, an int64
+// for Int and Int64, and the given value for the other constructors.
+func (a Attr) Value() any {
+	switch a.kind {
+	case kindString:
+		return a.str
+	case kindInt:
+		return a.num
+	}
+	return a.val
 }
 
 // String builds a string attribute.
-func String(k, v string) Attr { return Attr{Key: k, Value: v} }
+func String(k, v string) Attr { return Attr{Key: k, kind: kindString, str: v} }
 
 // Int builds an int attribute.
-func Int(k string, v int) Attr { return Attr{Key: k, Value: int64(v)} }
+func Int(k string, v int) Attr { return Attr{Key: k, kind: kindInt, num: int64(v)} }
 
 // Int64 builds an int64 attribute.
-func Int64(k string, v int64) Attr { return Attr{Key: k, Value: v} }
+func Int64(k string, v int64) Attr { return Attr{Key: k, kind: kindInt, num: v} }
 
 // Float64 builds a float64 attribute.
-func Float64(k string, v float64) Attr { return Attr{Key: k, Value: v} }
+func Float64(k string, v float64) Attr { return Attr{Key: k, val: v} }
 
 // Bool builds a bool attribute.
-func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
+func Bool(k string, v bool) Attr { return Attr{Key: k, val: v} }
 
 // Duration builds a duration attribute (rendered as a string, e.g. "1.2ms").
-func Duration(k string, v time.Duration) Attr { return Attr{Key: k, Value: v} }
+func Duration(k string, v time.Duration) Attr { return Attr{Key: k, val: v} }
+
+// Any builds an attribute of any other value (errors and fmt.Stringers
+// render as their text).
+func Any(k string, v any) Attr { return Attr{Key: k, val: v} }
 
 type ctxKey int
 

@@ -474,7 +474,7 @@ func writeTree(b *strings.Builder, s *Span, depth int) {
 		b.WriteString(" (unfinished)")
 	}
 	for _, a := range attrs {
-		fmt.Fprintf(b, " %s=%v", a.Key, a.Value)
+		fmt.Fprintf(b, " %s=%v", a.Key, a.Value())
 	}
 	b.WriteByte('\n')
 	sortByStart(children)

@@ -372,3 +372,25 @@ func TestStageTotals(t *testing.T) {
 		t.Fatalf("root totals = %+v", totals["root"])
 	}
 }
+
+// TestZeroAllocUntracedStart pins that instrumentation costs no
+// allocation without a tracer: an untraced Start with string and
+// integer attributes, SetAttr and End on its nil span. Attribute
+// values that do not fit a pointer would otherwise be boxed on every
+// call, tracer or not.
+func TestZeroAllocUntracedStart(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ctx := context.Background()
+	kernel := strings.Repeat("fusion_", 6) // a non-constant string
+	iters := 1 << 20                       // beyond the runtime's preboxed small integers
+	allocs := testing.AllocsPerRun(200, func() {
+		_, sp := Start(ctx, "absint", String("kernel", kernel), Int("launches", iters))
+		sp.SetAttr(Int("iterations", iters), Int64("executed", int64(iters)))
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced Start with String/Int attributes: %.1f allocs, want 0", allocs)
+	}
+}

@@ -29,15 +29,17 @@ type OpInfo struct {
 	Branch, Exit, Barrier, Dest bool
 }
 
-// opInfoCache interns decoded opcodes. Opcode strings come from a small
-// fixed vocabulary (the generator emits a few dozen distinct spellings),
-// so the map stays tiny and read-mostly — exactly sync.Map's sweet spot.
-// Raw PTX may put any suffix on a known root, so inserts stop once
-// opInfoCount reaches maxCachedOpcodes, and keys are cloned: an opcode
-// sliced out of a request body must not pin the body.
+// opInfos interns decoded opcodes. Opcode strings come from a small
+// fixed vocabulary (the generator emits a few dozen distinct
+// spellings), so the table is tiny and read-mostly: lookups read an
+// immutable map snapshot through an atomic pointer, and an insert
+// copies the snapshot under opInfoMu. Raw PTX may put any suffix on a
+// known root, so inserts stop once the table holds maxCachedOpcodes
+// spellings, and keys are cloned: an opcode sliced out of a request
+// body must not pin the body.
 var (
-	opInfoCache sync.Map // string -> OpInfo
-	opInfoCount atomic.Int32
+	opInfos  atomic.Pointer[map[string]OpInfo]
+	opInfoMu sync.Mutex // serializes inserts
 )
 
 const maxCachedOpcodes = 1024
@@ -45,18 +47,38 @@ const maxCachedOpcodes = 1024
 // Decode returns the pre-decoded form of a full opcode, memoized
 // process-wide by opcode spelling.
 func Decode(opcode string) OpInfo {
-	if v, ok := opInfoCache.Load(opcode); ok {
-		return v.(OpInfo)
+	if m := opInfos.Load(); m != nil {
+		if info, ok := (*m)[opcode]; ok {
+			return info
+		}
 	}
 	info := decodeOpcode(opcode)
 	// Unknown spellings fail validation; keeping them out of the cache
 	// stops malformed input from filling it.
-	if info.Class != ClassUnknown && opInfoCount.Load() < maxCachedOpcodes {
-		if _, loaded := opInfoCache.LoadOrStore(strings.Clone(opcode), info); !loaded {
-			opInfoCount.Add(1)
-		}
+	if info.Class != ClassUnknown {
+		storeOpInfo(opcode, info)
 	}
 	return info
+}
+
+// storeOpInfo publishes a snapshot with opcode added, unless another
+// insert already did or the table is full.
+func storeOpInfo(opcode string, info OpInfo) {
+	opInfoMu.Lock()
+	defer opInfoMu.Unlock()
+	var old map[string]OpInfo
+	if m := opInfos.Load(); m != nil {
+		old = *m
+	}
+	if _, ok := old[opcode]; ok || len(old) >= maxCachedOpcodes {
+		return
+	}
+	next := make(map[string]OpInfo, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	next[strings.Clone(opcode)] = info
+	opInfos.Store(&next)
 }
 
 func decodeOpcode(opcode string) OpInfo {

@@ -498,8 +498,7 @@ func TestDecodeCacheBounded(t *testing.T) {
 			t.Fatalf("Decode(%q) = %+v", op, got)
 		}
 	}
-	n := 0
-	opInfoCache.Range(func(_, _ any) bool { n++; return true })
+	n := len(*opInfos.Load())
 	if n > maxCachedOpcodes {
 		t.Fatalf("cache holds %d spellings, bound is %d", n, maxCachedOpcodes)
 	}

@@ -12,6 +12,9 @@ package ptxanalysis
 import (
 	"context"
 	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"cnnperf/internal/analysiscache"
 	"cnnperf/internal/obs"
@@ -20,10 +23,20 @@ import (
 	"cnnperf/internal/ptxanalysis/absint"
 )
 
-// KernelAnalysis bundles the static-analysis results of one kernel
-// that outlive the pass: what the DCA, the static features and the lint
-// read, and what the cache keeps.
-type KernelAnalysis struct {
+// The static analysis of a kernel has two levels. The gate level is
+// what the dynamic code analysis reads: the CFG, the natural loops and
+// the error diagnostics its gate rejects on (use-before-def from the
+// liveness solution; a body the CFG build cannot partition fails the
+// analysis). The full level adds what the lint and the static features
+// read: post-dominators, register pressure, the instruction mix, the
+// abstract interpretation, the block features and every lint rule. The
+// full level is computed from the gate level's passes, never beside
+// them.
+
+// KernelGate is the gate level of one kernel's static analysis. It
+// holds nothing of the decoded body or the liveness sets, so a cached
+// gate pins no request text.
+type KernelGate struct {
 	// Kernel is the analysed kernel's name.
 	Kernel string
 	// Static is the body length in instructions.
@@ -34,6 +47,16 @@ type KernelAnalysis struct {
 	Loops []Loop
 	// MaxLoopDepth is the deepest loop nesting (0 for loop-free kernels).
 	MaxLoopDepth int
+	// Errors are the error-severity diagnostics, in the order the full
+	// level's Diags list them.
+	Errors []Diag
+}
+
+// KernelAnalysis is the full level of one kernel's static analysis:
+// the gate level plus what the lint, the static features and the block
+// features read.
+type KernelAnalysis struct {
+	KernelGate
 	// Pressure is the static register pressure.
 	Pressure Pressure
 	// Mix is the static instruction-mix profile.
@@ -62,51 +85,114 @@ func AnalyzeKernelContext(ctx context.Context, k *ptx.Kernel) (*KernelAnalysis, 
 	if k == nil {
 		return nil, fmt.Errorf("ptxanalysis: nil kernel")
 	}
-	a := &KernelAnalysis{Kernel: k.Name, Static: len(k.Body)}
 	if len(k.Body) == 0 {
-		a.Diags = []Diag{{
-			Severity: SevWarning, Kernel: k.Name, Line: -1,
-			Code: CodeEmptyKernel, Msg: "kernel body has no instructions",
-		}}
-		a.Mix = Mix{PerClass: make(map[ptx.Class]int), CoalescedFraction: 1}
-		return a, nil
+		return emptyAnalysis(k.Name), nil
 	}
-	g, err := cfg.Build(k)
+	p, err := gatePasses(k, k.Name)
 	if err != nil {
-		return nil, fmt.Errorf("ptxanalysis: %w", err)
+		return nil, err
 	}
-	d := ptx.DecodeKernel(k)
-	dom := Dominators(g)
-	a.CFG = g
-	a.Loops = NaturalLoops(g, dom)
-	for _, l := range a.Loops {
-		if l.Depth > a.MaxLoopDepth {
-			a.MaxLoopDepth = l.Depth
-		}
-	}
-	p := &kernelPasses{d: d, g: g, dom: dom, postDom: PostDominators(g), loops: a.Loops, live: computeLiveness(d, g)}
-	a.Pressure = computePressure(d, g, p.live)
-	a.Mix = computeMix(d)
-	_, span := obs.Start(ctx, "absint", obs.String("kernel", k.Name))
-	p.abs = absint.AnalyzeDecoded(d, g)
-	span.SetAttr(obs.Int("iterations", p.abs.Iterations), obs.Int("facts", p.abs.Facts()),
-		obs.Int("widenings", p.abs.Widenings))
-	span.End()
-	observeAbsintIterations(p.abs.Iterations)
-	a.Blocks = computeBlockFeatures(p)
-	a.Diags = p.lint()
-	return a, nil
+	return p.full(ctx, p.gate()), nil
 }
 
-// kernelPasses holds the per-kernel pass results that the lint and the
-// block features join; none of it outlives AnalyzeKernelContext.
+// AnalyzeKernelGate runs the gate level of one kernel's static
+// analysis: the part the dynamic code analysis reads. Its fields and
+// its error equal those of AnalyzeKernel.
+func AnalyzeKernelGate(k *ptx.Kernel) (*KernelGate, error) {
+	if k == nil {
+		return nil, fmt.Errorf("ptxanalysis: nil kernel")
+	}
+	if len(k.Body) == 0 {
+		return &KernelGate{Kernel: k.Name}, nil
+	}
+	p, err := gatePasses(k, k.Name)
+	if err != nil {
+		return nil, err
+	}
+	return p.gate(), nil
+}
+
+// emptyAnalysis is the full level of a kernel with an empty body.
+func emptyAnalysis(name string) *KernelAnalysis {
+	return &KernelAnalysis{
+		KernelGate: KernelGate{Kernel: name},
+		Mix:        Mix{PerClass: make(map[ptx.Class]int), CoalescedFraction: 1},
+		Diags: []Diag{{
+			Severity: SevWarning, Kernel: name, Line: -1,
+			Code: CodeEmptyKernel, Msg: "kernel body has no instructions",
+		}},
+	}
+}
+
+// kernelPasses holds the per-kernel pass results that the gate, the
+// lint and the block features join. None of it outlives the analysis:
+// the decoded body and the liveness sets are what a cached entry must
+// not hold.
 type kernelPasses struct {
+	name         string // the kernel name every diagnostic carries
 	d            *ptx.DecodedKernel
 	g            *cfg.Graph
 	dom, postDom *DomTree
 	loops        []Loop
 	live         *Liveness
 	abs          *absint.Result
+}
+
+// gatePasses runs the gate level's passes over a non-empty body: the
+// CFG build, dominators, natural loops, the decode and liveness.
+func gatePasses(k *ptx.Kernel, name string) (*kernelPasses, error) {
+	g, err := cfg.Build(k)
+	if err != nil {
+		return nil, fmt.Errorf("ptxanalysis: %w", err)
+	}
+	dom := Dominators(g)
+	return livePasses(k, name, g, dom, NaturalLoops(g, dom)), nil
+}
+
+// livePasses decodes k and solves its liveness over the CFG g.
+func livePasses(k *ptx.Kernel, name string, g *cfg.Graph, dom *DomTree, loops []Loop) *kernelPasses {
+	d := ptx.DecodeKernel(k)
+	return &kernelPasses{name: name, d: d, g: g, dom: dom, loops: loops, live: computeLiveness(d, g)}
+}
+
+// gate assembles the gate level from the passes.
+func (p *kernelPasses) gate() *KernelGate {
+	gt := &KernelGate{
+		Kernel: p.name, Static: len(p.d.Kernel.Body), CFG: p.g, Loops: p.loops,
+		Errors: p.useBeforeDef(),
+	}
+	for _, l := range p.loops {
+		gt.MaxLoopDepth = max(gt.MaxLoopDepth, l.Depth)
+	}
+	return gt
+}
+
+// full completes the gate level gt, built from these passes, to the
+// full analysis, tracing the abstract interpretation.
+func (p *kernelPasses) full(ctx context.Context, gt *KernelGate) *KernelAnalysis {
+	a := &KernelAnalysis{KernelGate: *gt}
+	p.postDom = PostDominators(p.g)
+	a.Pressure = computePressure(p.d, p.g, p.live)
+	a.Mix = computeMix(p.d)
+	_, span := obs.Start(ctx, "absint", obs.String("kernel", p.name))
+	p.abs = absint.AnalyzeDecoded(p.d, p.g)
+	span.SetAttr(obs.Int("iterations", p.abs.Iterations), obs.Int("facts", p.abs.Facts()),
+		obs.Int("widenings", p.abs.Widenings))
+	span.End()
+	observeAbsintIterations(p.abs.Iterations)
+	a.Blocks = computeBlockFeatures(p)
+	a.Diags = p.lint(gt.Errors)
+	return a
+}
+
+// ModuleGate is the gate level of a module's static analysis: what the
+// dynamic code analysis reads.
+type ModuleGate struct {
+	// Kernels are the per-kernel gates in module order.
+	Kernels []*KernelGate
+	// Digests are the per-kernel content digests, parallel to Kernels
+	// (zero without a cache), from which the DCA derives its keys.
+	Digests []analysiscache.Digest
 }
 
 // ModuleAnalysis aggregates the per-kernel analyses of one module with
@@ -134,6 +220,16 @@ type ModuleAnalysis struct {
 	SharedFraction     float64
 	CoalescedFraction  float64
 	StaticInstructions int
+}
+
+// Gate returns the gate level of the module analysis, sharing its
+// per-kernel values.
+func (ma *ModuleAnalysis) Gate() *ModuleGate {
+	mg := &ModuleGate{Kernels: make([]*KernelGate, len(ma.Kernels)), Digests: ma.Digests}
+	for i, a := range ma.Kernels {
+		mg.Kernels[i] = &a.KernelGate
+	}
+	return mg
 }
 
 // AnalyzeModule analyses every kernel of the module.
@@ -191,38 +287,157 @@ func AnalyzeModuleCachedContext(ctx context.Context, m *ptx.Module, c *analysisc
 	return out, nil
 }
 
+// AnalyzeModuleGateCachedContext is AnalyzeModuleCachedContext at the
+// gate level: it runs, or reads from c, only what the dynamic code
+// analysis reads. Its failures are AnalyzeModuleCachedContext's.
+func AnalyzeModuleGateCachedContext(ctx context.Context, m *ptx.Module, c *analysiscache.Cache) (*ModuleGate, error) {
+	if m == nil {
+		return nil, fmt.Errorf("ptxanalysis: nil module")
+	}
+	out := &ModuleGate{
+		Kernels: make([]*KernelGate, 0, len(m.Kernels)),
+		Digests: make([]analysiscache.Digest, 0, len(m.Kernels)),
+	}
+	for _, k := range m.Kernels {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		g, d, err := AnalyzeKernelGateCached(k, c)
+		if err != nil {
+			return nil, err
+		}
+		out.Kernels = append(out.Kernels, g)
+		out.Digests = append(out.Digests, d)
+	}
+	return out, nil
+}
+
+// memo is the one cache entry per kernel body, under the "ptxa" key. Its
+// gate level is computed when the entry is created; its full level is
+// completed in place by the first consumer that asks for it (or at
+// creation, when that consumer created the entry). Every
+// content-identical kernel shares the entry, so the full level is
+// computed at most once per entry whichever name asks.
+type memo struct {
+	gate *KernelGate
+	mu   sync.Mutex // serializes the completion
+	full atomic.Pointer[KernelAnalysis]
+}
+
+// complete returns the full level, computing it from k — a kernel with
+// the entry's body — on first use. A completion that panics leaves the
+// entry at the gate level for the next consumer to retry.
+func (m *memo) complete(ctx context.Context, k *ptx.Kernel) *KernelAnalysis {
+	if a := m.full.Load(); a != nil {
+		return a
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if a := m.full.Load(); a != nil {
+		return a
+	}
+	var a *KernelAnalysis
+	if m.gate.CFG == nil {
+		a = emptyAnalysis(m.gate.Kernel)
+	} else {
+		p := livePasses(k, m.gate.Kernel, m.gate.CFG, Dominators(m.gate.CFG), m.gate.Loops)
+		a = p.full(ctx, m.gate)
+	}
+	m.full.Store(a)
+	return a
+}
+
+// memoOf returns k's cache entry in c and k's content digest, creating
+// the entry on a miss — completed too when full is set, so a
+// full-level miss runs each pass once. The entry's strings are cloned:
+// a kernel parsed out of a request body must not pin the body.
+func memoOf(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache, full bool) (*memo, analysiscache.Digest, error) {
+	d := analysiscache.NewDigest(k)
+	v, _, err := c.GetOrCompute(d.Key("ptxa"), func() (any, error) {
+		name := strings.Clone(k.Name)
+		if len(k.Body) == 0 {
+			return &memo{gate: &KernelGate{Kernel: name}}, nil
+		}
+		p, err := gatePasses(k, name)
+		if err != nil {
+			return nil, err
+		}
+		m := &memo{gate: p.gate()}
+		if full {
+			m.full.Store(p.full(ctx, m.gate))
+		}
+		return m, nil
+	})
+	if err != nil {
+		return nil, d, err
+	}
+	return v.(*memo), d, nil
+}
+
 // AnalyzeKernelCached memoizes AnalyzeKernelContext in c under the
 // kernel's content digest, which it returns for deriving further keys
 // (nil c: no memo, zero digest). It is the one per-kernel analysis that
-// the static features, the lint and the DCA all read. On a hit from a
+// the static features and the lint read; the DCA reads the gate level
+// of the same entry (AnalyzeKernelGateCached). On a hit from a
 // content-identical kernel under a different name, the analysis is
 // shallow-copied with its identity re-stamped; the name-free structures
 // (CFG, loops, the block features) are shared read-only. The memo is
 // memory-only: no disk tier persists the analysis, which a fresh
 // process derives again from the kernel text.
 func AnalyzeKernelCached(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache) (*KernelAnalysis, analysiscache.Digest, error) {
-	if c == nil {
+	if c == nil || k == nil {
 		a, err := AnalyzeKernelContext(ctx, k)
 		return a, analysiscache.Digest{}, err
 	}
-	d := analysiscache.NewDigest(k)
-	v, _, err := c.GetOrCompute(d.Key("ptxa"), func() (any, error) {
-		return AnalyzeKernelContext(ctx, k)
-	})
+	m, d, err := memoOf(ctx, k, c, true)
 	if err != nil {
 		return nil, d, err
 	}
-	a := v.(*KernelAnalysis)
+	a := m.complete(ctx, k)
 	if a.Kernel == k.Name {
 		return a, d, nil
 	}
 	cp := *a
-	cp.Kernel = k.Name
-	cp.Diags = append([]Diag(nil), a.Diags...)
-	for i := range cp.Diags {
-		cp.Diags[i].Kernel = k.Name
-	}
+	cp.KernelGate = *a.KernelGate.renamed(k.Name)
+	cp.Diags = restamp(a.Diags, k.Name)
 	return &cp, d, nil
+}
+
+// AnalyzeKernelGateCached is AnalyzeKernelCached at the gate level: on a
+// miss it creates the kernel's entry with only the gate level computed,
+// which a later full-level consumer completes in place.
+func AnalyzeKernelGateCached(k *ptx.Kernel, c *analysiscache.Cache) (*KernelGate, analysiscache.Digest, error) {
+	if c == nil || k == nil {
+		g, err := AnalyzeKernelGate(k)
+		return g, analysiscache.Digest{}, err
+	}
+	m, d, err := memoOf(context.Background(), k, c, false)
+	if err != nil {
+		return nil, d, err
+	}
+	return m.gate.renamed(k.Name), d, nil
+}
+
+// renamed returns g as seen from a content-identical kernel named name:
+// g itself when the names match, else a copy with its identity
+// re-stamped.
+func (g *KernelGate) renamed(name string) *KernelGate {
+	if g.Kernel == name {
+		return g
+	}
+	cp := *g
+	cp.Kernel = name
+	cp.Errors = restamp(g.Errors, name)
+	return &cp
+}
+
+// restamp copies diags with every kernel name set to name.
+func restamp(diags []Diag, name string) []Diag {
+	out := append([]Diag(nil), diags...)
+	for i := range out {
+		out[i].Kernel = name
+	}
+	return out
 }
 
 // FeatureNames names the static predictors Features returns, in order.

@@ -147,26 +147,39 @@ func Errors(diags []Diag) []Diag {
 	return out
 }
 
-// lint derives the diagnostics of one analysed kernel.
-func (p *kernelPasses) lint() []Diag {
-	k := p.d.Kernel
-	var diags []Diag
-	add := func(sev Severity, line int, code, format string, args ...any) {
-		diags = append(diags, Diag{
-			Severity: sev, Kernel: k.Name, Line: line, Code: code,
-			Msg: fmt.Sprintf(format, args...),
-		})
+// useBeforeDef derives the gate's error diagnostics: PTXA001, one per
+// register that may be read before any definition, ordered by line and
+// then by register name.
+func (p *kernelPasses) useBeforeDef() []Diag {
+	if len(p.live.UseBeforeDef) == 0 {
+		return nil
 	}
-
-	// PTXA001 use-before-def.
 	regs := make([]string, 0, len(p.live.UseBeforeDef))
 	for r := range p.live.UseBeforeDef {
 		regs = append(regs, r)
 	}
 	sort.Strings(regs)
+	diags := make([]Diag, 0, len(regs))
 	for _, r := range regs {
-		add(SevError, p.live.UseBeforeDef[r], CodeUseBeforeDef,
-			"register %s may be read before it is written", r)
+		diags = append(diags, Diag{
+			Severity: SevError, Kernel: p.name, Line: p.live.UseBeforeDef[r], Code: CodeUseBeforeDef,
+			Msg: fmt.Sprintf("register %s may be read before it is written", r),
+		})
+	}
+	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Line < diags[j].Line })
+	return diags
+}
+
+// lint derives the diagnostics of one analysed kernel from the gate's
+// error diagnostics errs and the full level's passes.
+func (p *kernelPasses) lint(errs []Diag) []Diag {
+	k := p.d.Kernel
+	diags := append([]Diag(nil), errs...)
+	add := func(sev Severity, line int, code, format string, args ...any) {
+		diags = append(diags, Diag{
+			Severity: sev, Kernel: p.name, Line: line, Code: code,
+			Msg: fmt.Sprintf(format, args...),
+		})
 	}
 
 	// PTXA002 dead stores.
@@ -311,7 +324,12 @@ func SortDiags(diags []Diag) {
 }
 
 // LintErrors returns the error-severity diagnostics of a kernel: the
-// findings that make the dynamic code analysis reject it.
+// findings that make the dynamic code analysis reject it. It runs the
+// gate level only.
 func LintErrors(k *ptx.Kernel) []Diag {
-	return Errors(LintKernel(k))
+	g, err := AnalyzeKernelGate(k)
+	if err != nil {
+		return Malformed(k, err)
+	}
+	return g.Errors
 }

@@ -244,7 +244,9 @@ func computePressure(d *ptx.DecodedKernel, g *cfg.Graph, lv *Liveness) Pressure 
 			ti++
 		}
 		if ti == len(types) {
-			types = append(types, t)
+			// A declared type is sliced out of the kernel text; the
+			// cached analysis keeps its own copy.
+			types = append(types, strings.Clone(t))
 		}
 		typeOf[id] = ti
 	}

@@ -33,7 +33,9 @@ func alexnetPTX(t *testing.T) (string, *ptx.Module) {
 }
 
 // TestLintReadsPredictAnalysis checks that /v1/lint reads the static
-// analysis a predict of the same payload already cached: it adds no
+// analysis entries a predict of the same payload already cached: the
+// predict leaves each kernel's entry at the gate level, and the lint
+// completes that same entry in place to the full level. It adds no
 // cache miss, and its body is byte-identical to a lint computed from
 // scratch.
 func TestLintReadsPredictAnalysis(t *testing.T) {
