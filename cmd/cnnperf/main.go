@@ -211,7 +211,7 @@ func runLint(ctx context.Context, args []string, cfg cnnperf.Config) error {
 	var diags []cnnperf.Diag
 	if data, rerr := os.ReadFile(target); rerr == nil {
 		var err error
-		if diags, err = cnnperf.LintPTX(string(data)); err != nil {
+		if diags, err = cnnperf.LintPTXContext(ctx, string(data)); err != nil {
 			return err
 		}
 	} else {

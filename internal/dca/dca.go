@@ -73,10 +73,6 @@ type Report struct {
 type Options struct {
 	// Exec tunes the abstract executor.
 	Exec ExecOptions
-	// SkipLint bypasses the static-analysis validation gate. Set by
-	// AnalyzeProgram after it has gated each distinct kernel once, so
-	// repeated launches of one kernel are not re-gated.
-	SkipLint bool
 	// Cache memoizes per-kernel analysis results content-addressed by
 	// the kernel's canonical text and launch configuration, so identical
 	// kernels — within one model or across the whole zoo — are sliced
@@ -107,7 +103,7 @@ type kernelFacts struct {
 
 	prepared bool
 	cfg      *CFG
-	prepErr  error // the structural CFG or compile failure, reported per launch when the gate is skipped
+	prepErr  error // the structural CFG or compile failure, reported per launch
 	g        *DepGraph
 	slice    *ControlSlice
 	ck       *CompiledKernel // the bytecode every launch of the kernel executes
@@ -142,10 +138,8 @@ func AnalyzeKernelLaunch(k *ptx.Kernel, l ptxgen.Launch, opts Options) (KernelRe
 	}
 	f := &kernelFacts{k: k}
 	f.a, f.d, f.err = ptxanalysis.AnalyzeKernelGateCached(k, opts.Cache)
-	if !opts.SkipLint {
-		if err := f.gate(); err != nil {
-			return KernelReport{}, err
-		}
+	if err := f.gate(); err != nil {
+		return KernelReport{}, err
 	}
 	kr, _, err := analyzeKernelLaunch(context.Background(), f, l, opts, &frame{})
 	return kr, err
@@ -225,9 +219,10 @@ func analyzeKernelLaunch(ctx context.Context, f *kernelFacts, l ptxgen.Launch, o
 // the canonical kernel text plus every launch and executor knob that can
 // influence the counted result. WorkingSetBytes and the node identity
 // are deliberately excluded — they are carried through the report but do
-// not affect the abstract execution. The literal "ref=false" keeps the
-// key bytes of stored records from when the executor had a reference
-// mode (TestLaunchKeyGolden).
+// not affect the abstract execution. The literals "lint=true" and
+// "ref=false" keep the key bytes of stored records from when a launch
+// could skip the lint gate and the executor had a reference mode
+// (TestLaunchKeyGolden).
 func launchKey(f *kernelFacts, l ptxgen.Launch, opts Options) string {
 	b := make([]byte, 0, 256)
 	b = strconv.AppendInt(append(b, "grid="...), int64(l.GridX), 10)
@@ -235,8 +230,7 @@ func launchKey(f *kernelFacts, l ptxgen.Launch, opts Options) string {
 	b = strconv.AppendInt(append(b, ";threads="...), l.Threads, 10)
 	b = strconv.AppendBool(append(b, ";full="...), opts.Exec.Full)
 	b = strconv.AppendInt(append(b, ";maxsteps="...), opts.Exec.MaxSteps, 10)
-	b = strconv.AppendBool(append(b, ";lint="...), opts.SkipLint)
-	b = strconv.AppendBool(append(b, ";ref=false;bb="...), opts.BlockCounts)
+	b = strconv.AppendBool(append(b, ";lint=true;ref=false;bb="...), opts.BlockCounts)
 	launch := len(b)
 	for i, p := range f.k.Params {
 		b = strconv.AppendInt(b, int64(i), 10)
@@ -377,27 +371,24 @@ func AnalyzeProgramContext(ctx context.Context, prog *ptxgen.Program, opts Optio
 		return nil, fmt.Errorf("dca: launch references unknown kernel %q", name)
 	}
 	// Gate every distinct kernel once up front over its shared
-	// diagnostics; the per-launch loop can then skip re-gating (a kernel
+	// diagnostics; the per-launch loop then needs no re-gating (a kernel
 	// may be launched many times).
-	if !opts.SkipLint {
-		lintCtx, lintSpan := obs.Start(ctx, "dca.lint")
-		for _, l := range prog.Launches {
-			if facts[l.Kernel] != nil {
-				continue
-			}
-			f, err := factsOf(lintCtx, l.Kernel)
-			if err == nil {
-				err = f.gate()
-			}
-			if err != nil {
-				lintSpan.End()
-				return nil, err
-			}
+	lintCtx, lintSpan := obs.Start(ctx, "dca.lint")
+	for _, l := range prog.Launches {
+		if facts[l.Kernel] != nil {
+			continue
 		}
-		lintSpan.SetAttr(obs.Int("kernels", len(facts)))
-		lintSpan.End()
-		opts.SkipLint = true
+		f, err := factsOf(lintCtx, l.Kernel)
+		if err == nil {
+			err = f.gate()
+		}
+		if err != nil {
+			lintSpan.End()
+			return nil, err
+		}
 	}
+	lintSpan.SetAttr(obs.Int("kernels", len(facts)))
+	lintSpan.End()
 	// One frame serves every launch of the program, so once the largest
 	// kernel has warmed it the per-launch executions allocate nothing.
 	fr := &frame{}

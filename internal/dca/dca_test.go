@@ -162,8 +162,7 @@ func TestCFGPredicatedExitFallsThrough(t *testing.T) {
 }
 
 // TestLintGateRejectsBadKernel: the static-analysis gate refuses kernels
-// with error-severity diagnostics before abstract execution, unless the
-// caller explicitly skips it.
+// with error-severity diagnostics before abstract execution.
 func TestLintGateRejectsBadKernel(t *testing.T) {
 	k := &ptx.Kernel{Name: "ubd"}
 	k.Append(ptx.Instruction{Opcode: "add.s32", Operands: []string{"%r2", "%r5", "1"}})
@@ -171,11 +170,6 @@ func TestLintGateRejectsBadKernel(t *testing.T) {
 	l := ptxgen.Launch{Kernel: "ubd", GridX: 1, BlockX: 32, Threads: 32}
 	if _, err := AnalyzeKernelLaunch(k, l, Options{}); err == nil {
 		t.Error("use-before-def kernel must be rejected by the lint gate")
-	}
-	// SkipLint bypasses the gate (the abstract executor reads the
-	// undefined register as zero).
-	if _, err := AnalyzeKernelLaunch(k, l, Options{SkipLint: true}); err != nil {
-		t.Errorf("SkipLint run failed: %v", err)
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 
 // TestLaunchKeyGolden pins the full dca key launchKey derives from a real
 // launch: the first alexnet launch (an overcovering grid), with and
-// without the block-visit profile. Persisted stores and snapshots are
-// addressed by these bytes, so a change here orphans every dca record
-// already written.
+// without the block-visit profile, and checks that a cached
+// AnalyzeProgram stores its report under that key. Persisted stores and
+// snapshots are addressed by these bytes, so a change here orphans
+// every dca record already written.
 func TestLaunchKeyGolden(t *testing.T) {
 	prog := compileZoo(t, "alexnet")
 	l := prog.Launches[0]
@@ -26,11 +27,19 @@ func TestLaunchKeyGolden(t *testing.T) {
 		opts Options
 		want string
 	}{
-		{Options{}, "dca:850a8b1ddb769d048c599f7678d6db4b80c96dc1a01eb58fd98b0620096aa5bf"},
-		{Options{BlockCounts: true}, "dca:9063d64cb206ab684c937b64ed72e7bf90826735d6abba03616c991a7696a878"},
+		{Options{}, "dca:3aac4717e884b50eac6dbc1f38133d66d7fd9118b40cbbe7c5c2c80027d626ff"},
+		{Options{BlockCounts: true}, "dca:6212ee48821717c2e3723413612318b6106a34872549235334578610bb6a051a"},
 	} {
 		if got := launchKey(f, l, c.opts); got != c.want {
 			t.Errorf("launchKey(%s, %+v) = %s, want %s", k.Name, c.opts, got, c.want)
+		}
+		opts := c.opts
+		opts.Cache = analysiscache.New(0)
+		if _, err := AnalyzeProgram(prog, opts); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := opts.Cache.Resident(c.want); !ok {
+			t.Errorf("AnalyzeProgram(BlockCounts=%v) stored no record under %s", c.opts.BlockCounts, c.want)
 		}
 	}
 }

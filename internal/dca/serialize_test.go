@@ -12,7 +12,7 @@ func TestKernelReportRoundTrip(t *testing.T) {
 	k := parseOne(t, "mov.u32 %r1, 0;\nL:\nadd.s32 %r1, %r1, 1;\nsetp.lt.s32 %p1, %r1, 16;\n@%p1 bra L;\nret;\n")
 	l := ptxgen.Launch{Kernel: "k", GridX: 4, BlockX: 64, Threads: 200,
 		Params: map[string]int64{"p0": 1 << 20}, WorkingSetBytes: 1 << 16}
-	r, err := AnalyzeKernelLaunch(k, l, Options{SkipLint: true})
+	r, err := AnalyzeKernelLaunch(k, l, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"cnnperf/internal/frontend"
 	"cnnperf/internal/obs"
 )
 
@@ -23,58 +24,19 @@ import (
 // first.
 type backendState struct {
 	url string
+	// gate admits the in-flight proxied requests; RemoveBackend drains
+	// it, and a draining backend is skipped by the router and the
+	// prober alike.
+	gate frontend.Gate
 
 	mu         sync.Mutex
 	healthy    bool
-	draining   bool
 	consecFail int
 	consecOK   int
-	inflight   int
-	idle       chan struct{} // closed when draining with no in-flight proxies
 }
 
 func newBackendState(url string) *backendState {
-	return &backendState{url: url, healthy: true, idle: make(chan struct{})}
-}
-
-// enter registers one in-flight proxied request; false while draining
-// (the router must pick another replica).
-func (b *backendState) enter() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.draining {
-		return false
-	}
-	b.inflight++
-	return true
-}
-
-// exit retires one in-flight proxied request.
-func (b *backendState) exit() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.inflight--
-	if b.draining && b.inflight == 0 {
-		select {
-		case <-b.idle:
-		default:
-			close(b.idle)
-		}
-	}
-}
-
-// startDrain flips the backend into the terminal draining state and
-// reports whether there is in-flight work left to wait for.
-func (b *backendState) startDrain() (busy bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.draining {
-		b.draining = true
-		if b.inflight == 0 {
-			close(b.idle)
-		}
-	}
-	return b.inflight > 0
+	return &backendState{url: url, healthy: true}
 }
 
 // probeResult applies one health-probe outcome and reports the state
@@ -90,7 +52,7 @@ const (
 func (b *backendState) probeResult(ok bool, failThreshold, reviveThreshold int) transition {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.draining {
+	if b.gate.Draining() {
 		return noTransition
 	}
 	if ok {
@@ -124,7 +86,7 @@ func (b *backendState) reportTransportFailure(failThreshold int) transition {
 func (b *backendState) snapshot() (healthy, draining bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.healthy, b.draining
+	return b.healthy, b.gate.Draining()
 }
 
 // probeLoop probes every backend each interval until ctx is done.
@@ -215,13 +177,9 @@ func (g *Gateway) RemoveBackend(ctx context.Context, backend string) error {
 	}
 	g.ring.Remove(backend)
 	g.metrics.healthy.With(backend).Set(0)
-	busy := b.startDrain()
-	g.cfg.Logger.Info("backend draining",
-		obs.String("backend", backend), obs.Bool("busy", busy))
-	select {
-	case <-b.idle:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("gateway: draining %s: %w", backend, ctx.Err())
+	g.cfg.Logger.Info("backend draining", obs.String("backend", backend))
+	if err := b.gate.Drain(ctx); err != nil {
+		return fmt.Errorf("gateway: draining %s: %w", backend, err)
 	}
+	return nil
 }

@@ -1,16 +1,11 @@
 package gateway
 
 import (
-	"io"
 	"time"
 
+	"cnnperf/internal/frontend"
 	"cnnperf/internal/obs"
 )
-
-// gwStatusClasses are the response status classes recorded per backend.
-var gwStatusClasses = []string{"2xx", "4xx", "5xx"}
-
-var gwLatencyBounds = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // gwMetrics is the gateway telemetry: one obs.Registry rendering the
 // cnnperfd_gw_* families as Prometheus text on /metrics. Per-backend
@@ -42,7 +37,7 @@ func newGwMetrics(ring *Ring, backends []string) *gwMetrics {
 		requests: reg.CounterVec("cnnperfd_gw_requests_total",
 			"Proxied responses by backend and status class.", "backend", "code"),
 		proxyLatency: reg.HistogramVec("cnnperfd_gw_proxy_duration_seconds",
-			"Per-attempt proxy latency by backend.", gwLatencyBounds, "backend"),
+			"Per-attempt proxy latency by backend.", frontend.LatencyBounds, "backend"),
 		transport: reg.CounterVec("cnnperfd_gw_transport_errors_total",
 			"Proxy attempts that failed before an HTTP response (connection refused, reset, timeout).", "backend"),
 		probes: reg.CounterVec("cnnperfd_gw_health_probes_total",
@@ -65,7 +60,7 @@ func newGwMetrics(ring *Ring, backends []string) *gwMetrics {
 			"Requests currently being proxied or served."),
 	}
 	for _, b := range backends {
-		for _, class := range gwStatusClasses {
+		for _, class := range frontend.StatusClasses {
 			m.requests.With(b, class)
 		}
 		m.proxyLatency.With(b)
@@ -86,17 +81,6 @@ func newGwMetrics(ring *Ring, backends []string) *gwMetrics {
 
 // record counts one forwarded response.
 func (m *gwMetrics) record(backend string, status int, d time.Duration) {
-	class := "2xx"
-	switch {
-	case status >= 500:
-		class = "5xx"
-	case status >= 400:
-		class = "4xx"
-	}
-	m.requests.With(backend, class).Inc()
+	m.requests.With(backend, frontend.StatusClass(status)).Inc()
 	m.proxyLatency.With(backend).Observe(d.Seconds())
-}
-
-func (m *gwMetrics) writePrometheus(w io.Writer) error {
-	return m.reg.WritePrometheus(w)
 }

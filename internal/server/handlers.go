@@ -8,6 +8,7 @@ import (
 	"net/http"
 
 	"cnnperf/internal/core"
+	"cnnperf/internal/frontend"
 	"cnnperf/internal/gpu"
 	"cnnperf/internal/obs"
 	"cnnperf/internal/parallel"
@@ -82,47 +83,16 @@ type LintResponse struct {
 
 // ErrorEnvelope is the structured error body every non-2xx response
 // carries.
-type ErrorEnvelope struct {
-	Error ErrorBody `json:"error"`
-}
+type ErrorEnvelope = frontend.ErrorEnvelope
 
 // ErrorBody is the machine-readable error payload.
-type ErrorBody struct {
-	// Code is a stable machine-readable error class.
-	Code string `json:"code"`
-	// Message is the human-readable description.
-	Message string `json:"message"`
-	// RequestID correlates the error with the access log line and the
-	// X-Request-ID response header.
-	RequestID string `json:"request_id,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(ctx context.Context, w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{
-		Code: code, Message: msg, RequestID: obs.RequestID(ctx),
-	}})
-}
+type ErrorBody = frontend.ErrorBody
 
 // decodeJSON reads one JSON document from the bounded body, mapping
 // oversized bodies to 413 and malformed ones to 400.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(r.Context(), w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		writeError(r.Context(), w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		frontend.WriteBodyError(r.Context(), w, err, "malformed JSON: ")
 		return false
 	}
 	return true
@@ -131,11 +101,11 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // writeCtxError maps a context failure to its HTTP status.
 func writeCtxError(ctx context.Context, w http.ResponseWriter, err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
-		writeError(ctx, w, http.StatusGatewayTimeout, "timeout", "request deadline exceeded")
+		frontend.WriteError(ctx, w, http.StatusGatewayTimeout, "timeout", "request deadline exceeded")
 		return
 	}
 	// Client went away; 499 is the de-facto status for that.
-	writeError(ctx, w, 499, "client_closed_request", "client cancelled the request")
+	frontend.WriteError(ctx, w, 499, "client_closed_request", "client cancelled the request")
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -145,33 +115,33 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if (req.Model == "") == (req.PTX == "") {
-		writeError(ctx, w, http.StatusBadRequest, "bad_request", "exactly one of \"model\" and \"ptx\" is required")
+		frontend.WriteError(ctx, w, http.StatusBadRequest, "bad_request", "exactly one of \"model\" and \"ptx\" is required")
 		return
 	}
 	if len(req.GPUs) == 0 {
-		writeError(ctx, w, http.StatusBadRequest, "bad_request", "\"gpus\" must name at least one device")
+		frontend.WriteError(ctx, w, http.StatusBadRequest, "bad_request", "\"gpus\" must name at least one device")
 		return
 	}
 	for _, id := range req.GPUs {
 		if _, err := gpu.Lookup(id); err != nil {
-			writeError(ctx, w, http.StatusNotFound, "unknown_gpu", err.Error())
+			frontend.WriteError(ctx, w, http.StatusNotFound, "unknown_gpu", err.Error())
 			return
 		}
 	}
 	var unit predictUnit
 	if req.Model != "" {
-		if !zooHas(req.Model) {
-			writeError(ctx, w, http.StatusNotFound, "unknown_model", fmt.Sprintf("zoo: unknown model %q", req.Model))
+		if !zoo.Has(req.Model) {
+			frontend.WriteError(ctx, w, http.StatusNotFound, "unknown_model", fmt.Sprintf("zoo: unknown model %q", req.Model))
 			return
 		}
 		unit = modelUnit(req.Model)
 	} else {
 		if req.GridX < 0 || req.BlockX < 0 || req.GridX > 1024 || req.BlockX > 1024 {
-			writeError(ctx, w, http.StatusBadRequest, "bad_request", "grid_x and block_x must be in [0, 1024]")
+			frontend.WriteError(ctx, w, http.StatusBadRequest, "bad_request", "grid_x and block_x must be in [0, 1024]")
 			return
 		}
 		if req.TrainableParams < 0 {
-			writeError(ctx, w, http.StatusBadRequest, "bad_request", "trainable_params must be non-negative")
+			frontend.WriteError(ctx, w, http.StatusBadRequest, "bad_request", "trainable_params must be non-negative")
 			return
 		}
 		unit = ptxUnit(req.PTX, core.PTXOptions{
@@ -205,7 +175,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			writeCtxError(ctx, w, ctx.Err())
 			return
 		}
-		writeError(ctx, w, http.StatusUnprocessableEntity, "prediction_failed", err.Error())
+		frontend.WriteError(ctx, w, http.StatusUnprocessableEntity, "prediction_failed", err.Error())
 		return
 	}
 	out := make([]GPUPrediction, len(preds))
@@ -225,7 +195,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			AnalysisS: res.a.DCATime.Seconds(),
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	frontend.WriteJSON(w, http.StatusOK, resp)
 }
 
 // writeUnitError classifies an analysis failure: context failures keep
@@ -235,7 +205,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // gate rejections, runaway executions).
 func (s *Server) writeUnitError(ctx context.Context, w http.ResponseWriter, err error) {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		writeError(ctx, w, http.StatusGatewayTimeout, "timeout", "analysis deadline exceeded")
+		frontend.WriteError(ctx, w, http.StatusGatewayTimeout, "timeout", "analysis deadline exceeded")
 		return
 	}
 	var pe *parallel.PanicError
@@ -243,10 +213,10 @@ func (s *Server) writeUnitError(ctx context.Context, w http.ResponseWriter, err 
 		s.metrics.panics.Inc()
 		s.cfg.Logger.ErrorCtx(ctx, "analysis panic",
 			obs.String("panic", fmt.Sprint(pe.Value)), obs.String("site", pe.Site))
-		writeError(ctx, w, http.StatusInternalServerError, "internal", fmt.Sprintf("internal error: %v", pe.Value))
+		frontend.WriteError(ctx, w, http.StatusInternalServerError, "internal", fmt.Sprintf("internal error: %v", pe.Value))
 		return
 	}
-	writeError(ctx, w, http.StatusUnprocessableEntity, "analysis_failed", err.Error())
+	frontend.WriteError(ctx, w, http.StatusUnprocessableEntity, "analysis_failed", err.Error())
 }
 
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
@@ -255,7 +225,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if (req.Model == "") == (req.PTX == "") {
-		writeError(r.Context(), w, http.StatusBadRequest, "bad_request", "exactly one of \"model\" and \"ptx\" is required")
+		frontend.WriteError(r.Context(), w, http.StatusBadRequest, "bad_request", "exactly one of \"model\" and \"ptx\" is required")
 		return
 	}
 	var (
@@ -265,19 +235,19 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	if req.Model != "" {
 		m, err := zoo.Build(req.Model)
 		if err != nil {
-			writeError(r.Context(), w, http.StatusNotFound, "unknown_model", err.Error())
+			frontend.WriteError(r.Context(), w, http.StatusNotFound, "unknown_model", err.Error())
 			return
 		}
 		prog, err := ptxgen.Compile(m, s.pipeline.PTX)
 		if err != nil {
-			writeError(r.Context(), w, http.StatusUnprocessableEntity, "compile_failed", err.Error())
+			frontend.WriteError(r.Context(), w, http.StatusUnprocessableEntity, "compile_failed", err.Error())
 			return
 		}
 		target, module = req.Model, prog.Module
 	} else {
 		m, err := ptx.Parse(req.PTX)
 		if err != nil {
-			writeError(r.Context(), w, http.StatusUnprocessableEntity, "invalid_ptx", err.Error())
+			frontend.WriteError(r.Context(), w, http.StatusUnprocessableEntity, "invalid_ptx", err.Error())
 			return
 		}
 		target, module = "ptx", m
@@ -292,58 +262,13 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 			errs++
 		}
 	}
-	writeJSON(w, http.StatusOK, LintResponse{Target: target, Diagnostics: diags, ErrorCount: errs})
-}
-
-// handleFlightRecorder serves the retained traces as one Chrome trace
-// document; ?trace=<32-hex id> narrows it to a single distributed
-// trace (for `obscheck stitch`).
-func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.fr.WriteChromeTrace(w, r.URL.Query().Get("trace"))
+	frontend.WriteJSON(w, http.StatusOK, LintResponse{Target: target, Diagnostics: diags, ErrorCount: errs})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	frontend.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"models": len(zoo.Names()),
 		"gpus":   len(gpu.IDs()),
 	})
-}
-
-// handleMetrics serves the instrument registry as Prometheus text
-// exposition. Query parameters and the Accept header are ignored, so
-// scrapers that still send ?format=prometheus keep working.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", obs.PrometheusContentType)
-	w.WriteHeader(http.StatusOK)
-	_ = s.metrics.writePrometheus(w)
-}
-
-func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	// A known path reached through the catch-all means the method was
-	// wrong (the typed mux patterns only match their own verb).
-	switch r.URL.Path {
-	case "/v1/predict", "/v1/lint":
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(r.Context(), w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("%s requires POST", r.URL.Path))
-		return
-	case "/healthz", "/metrics":
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(r.Context(), w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("%s requires GET", r.URL.Path))
-		return
-	}
-	writeError(r.Context(), w, http.StatusNotFound, "not_found",
-		fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path))
-}
-
-func zooHas(name string) bool {
-	for _, n := range zoo.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }

@@ -1,11 +1,11 @@
 package server
 
 import (
-	"io"
 	"time"
 
 	"cnnperf/internal/analysiscache"
 	"cnnperf/internal/artifactstore"
+	"cnnperf/internal/frontend"
 	"cnnperf/internal/obs"
 	"cnnperf/internal/parallel"
 	"cnnperf/internal/ptxanalysis"
@@ -20,11 +20,6 @@ import (
 // endpointNames are the pre-registered route labels, so /metrics shows
 // every endpoint with zero counts before its first request.
 var endpointNames = []string{"predict", "lint", "healthz", "metrics", "flightrecorder", "pprof", "other"}
-
-// statusClasses are the response status classes recorded per endpoint.
-var statusClasses = []string{"2xx", "4xx", "5xx"}
-
-var latencyBounds = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // metrics is the process-wide serving telemetry, exported as
 // Prometheus text on /metrics.
@@ -48,7 +43,7 @@ func newMetrics(cache *analysiscache.Cache, pool *parallel.Pool) *metrics {
 		requests: reg.CounterVec("cnnperfd_requests_total",
 			"HTTP requests by endpoint and status class.", "endpoint", "code"),
 		latency: reg.HistogramVec("cnnperfd_request_duration_seconds",
-			"Request latency by endpoint.", latencyBounds, "endpoint"),
+			"Request latency by endpoint.", frontend.LatencyBounds, "endpoint"),
 		inFlight: reg.Gauge("cnnperfd_in_flight_requests",
 			"Requests currently being served."),
 		panics: reg.Counter("cnnperfd_panics_total",
@@ -60,7 +55,7 @@ func newMetrics(cache *analysiscache.Cache, pool *parallel.Pool) *metrics {
 	}
 	// Pre-register every endpoint series so zero counts are visible.
 	for _, ep := range endpointNames {
-		for _, class := range statusClasses {
+		for _, class := range frontend.StatusClasses {
 			m.requests.With(ep, class)
 		}
 		m.latency.With(ep)
@@ -121,19 +116,6 @@ func (m *metrics) registerStore(tier *artifactstore.Tier) {
 
 // record counts one served request.
 func (m *metrics) record(endpoint string, status int, d time.Duration) {
-	class := "2xx"
-	switch {
-	case status >= 500:
-		class = "5xx"
-	case status >= 400:
-		class = "4xx"
-	}
-	m.requests.With(endpoint, class).Inc()
+	m.requests.With(endpoint, frontend.StatusClass(status)).Inc()
 	m.latency.With(endpoint).Observe(d.Seconds())
-}
-
-// writePrometheus renders the registry in Prometheus text exposition
-// format 0.0.4.
-func (m *metrics) writePrometheus(w io.Writer) error {
-	return m.reg.WritePrometheus(w)
 }

@@ -69,6 +69,13 @@ func Names() []string {
 	return out
 }
 
+// Has reports whether name is a registered model name. Unlike Build,
+// it accepts no alias.
+func Has(name string) bool {
+	_, ok := registry[name]
+	return ok
+}
+
 // TableIOrder lists the models in the row order of the paper's Table I.
 var TableIOrder = []string{
 	"m-r50x1", "m-r50x3", "m-r101x3", "m-r101x1", "m-r152x4",
