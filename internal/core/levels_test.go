@@ -40,7 +40,9 @@ func TestGateFullReportEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: full pass: %v", name, err)
 		}
-		if !reflect.DeepEqual(gate, full.Gate()) {
+		// The gate pass's Decoded belong to that call, so only the
+		// cached levels compare.
+		if fg := full.Gate(); !reflect.DeepEqual(gate.Kernels, fg.Kernels) || !reflect.DeepEqual(gate.Digests, fg.Digests) {
 			t.Fatalf("%s: the gate level differs from the full level's gate", name)
 		}
 		gr, err := dca.AnalyzeProgramContext(ctx, prog, dca.Options{Cache: gateCache, BlockCounts: true, Static: gate})
@@ -146,9 +148,9 @@ func TestPredictRunsGateLevel(t *testing.T) {
 }
 
 // coldAllocLimit bounds TestAnalyzePTXColdAllocs: the measured count of
-// one cold raw-PTX alexnet analysis (3 089 on linux/amd64, Go 1.24)
+// one cold raw-PTX alexnet analysis (2 207 on linux/amd64, Go 1.24)
 // plus 5 %.
-const coldAllocLimit = 3243
+const coldAllocLimit = 2317
 
 // TestAnalyzePTXColdAllocs gates the allocations of the cold raw-PTX
 // path: one analysis of the alexnet batch-16 module (19 kernels)

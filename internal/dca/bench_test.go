@@ -73,8 +73,10 @@ func heaviestLaunch(b testing.TB, prog *ptxgen.Program) (*ptx.Kernel, ptxgen.Lau
 
 // BenchmarkExecuteThread measures both engines on the heaviest
 // single-thread workload in the resnet50v2 schedule: the reference
-// tree-walking interpreter, and the compiled engine running through one
-// warm frame (zero allocations per run, as TestZeroAlloc pins).
+// tree-walking interpreter, and the compiled engine running as the
+// analysis runs it — through one warm frame holding the launch's
+// parameters bound once, into a caller-owned result (zero allocations
+// per run, as TestZeroAlloc pins).
 func BenchmarkExecuteThread(b *testing.B) {
 	prog := compileZoo(b, "resnet50v2")
 	k, l := heaviestLaunch(b, prog)
@@ -95,13 +97,15 @@ func BenchmarkExecuteThread(b *testing.B) {
 			b.Fatal(err)
 		}
 		fr := &frame{}
-		if _, err := ck.execute(k, l.Params, ctx, fr, nil); err != nil {
+		fr.bindParams(k, l.Params)
+		var res ExecResult
+		if err := ck.exec(k, l.Params, ctx, fr, nil, &res); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ck.execute(k, l.Params, ctx, fr, nil); err != nil {
+			if err := ck.exec(k, l.Params, ctx, fr, nil, &res); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -129,17 +133,23 @@ func BenchmarkSliceVsFull(b *testing.B) {
 }
 
 // BenchmarkBuildGraphs measures CFG + dependency-graph + slice
-// construction without execution.
+// construction without execution. The graphs are built over the
+// decoded body, which the analysis reads from its static gate, so the
+// decode runs once, outside the measured loop.
 func BenchmarkBuildGraphs(b *testing.B) {
 	prog := compileZoo(b, "inceptionv3")
+	decoded := make([]*ptx.DecodedKernel, len(prog.Module.Kernels))
+	for i, k := range prog.Module.Kernels {
+		decoded[i] = ptx.DecodeKernel(k)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, k := range prog.Module.Kernels {
-			if _, err := BuildCFG(k); err != nil {
+		for _, d := range decoded {
+			if _, err := BuildCFG(d.Kernel); err != nil {
 				b.Fatal(err)
 			}
-			g := BuildDepGraph(k)
-			_ = BuildControlSlice(k, g)
+			_ = buildControlSlice(d, buildDepGraph(d))
 		}
 	}
 }

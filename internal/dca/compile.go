@@ -2,7 +2,8 @@ package dca
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
+	"sort"
 	"strings"
 
 	"cnnperf/internal/ptx"
@@ -163,12 +164,13 @@ type CompiledKernel struct {
 // compiled kernel mirrors the reference interpreter's behavior exactly.
 func Compile(k *ptx.Kernel, slice *ControlSlice, opts ExecOptions) (*CompiledKernel, error) {
 	g, loops, _ := kernelCFG(k, nil)
-	return compile(k, slice, opts, g, loops)
+	return compile(ptx.DecodeKernel(k), slice, opts, g, loops)
 }
 
-// compile is Compile reading the kernel's CFG and natural loops from
-// its shared static analysis.
-func compile(k *ptx.Kernel, slice *ControlSlice, opts ExecOptions, g *CFG, loops []ptxanalysis.Loop) (*CompiledKernel, error) {
+// compile is Compile over the decoded kernel, reading its CFG and
+// natural loops from its shared static analysis.
+func compile(d *ptx.DecodedKernel, slice *ControlSlice, opts ExecOptions, g *CFG, loops []ptxanalysis.Loop) (*CompiledKernel, error) {
+	k := d.Kernel
 	n := len(k.Body)
 	if len(slice.InSlice) != n {
 		return nil, fmt.Errorf("dca: compile: slice covers %d of %d instructions", len(slice.InSlice), n)
@@ -182,31 +184,18 @@ func compile(k *ptx.Kernel, slice *ControlSlice, opts ExecOptions, g *CFG, loops
 		loops:       make([]*affineLoop, n),
 		full:        opts.Full,
 		maxSteps:    opts.effectiveMaxSteps(),
+		regNames:    make([]string, 0, d.NumOperandRegs), // one slot per register at most, bar rare spellings
 	}
-	slots := make(map[string]int32, 32)
-	slotOf := func(name string) int32 {
-		if s, ok := slots[name]; ok {
-			return s
-		}
-		s := int32(len(c.regNames))
-		slots[name] = s
-		c.regNames = append(c.regNames, name)
-		return s
-	}
-	paramPos := make(map[string]int32, len(k.Params))
-	for i, p := range k.Params {
-		paramPos[p.Name] = int32(i)
-	}
+	lw := &lowering{c: c, d: d, regSlot: make([]int32, d.NumOperandRegs), params: paramOrder(k.Params)}
 	for pc := range k.Body {
-		in := &k.Body[pc]
-		info := ptx.Decode(in.Opcode)
+		info := &d.Insts[pc].Op
 		c.class[pc] = info.Class
 		c.interp[pc] = opts.Full || slice.InSlice[pc]
 		base := pc * ptx.NumClasses
 		copy(c.classPrefix[base+ptx.NumClasses:base+2*ptx.NumClasses], c.classPrefix[base:base+ptx.NumClasses])
 		c.classPrefix[base+ptx.NumClasses+int(info.Class)]++
 		if c.interp[pc] {
-			c.code[pc] = c.compileInst(k, pc, in, &info, slotOf, paramPos)
+			c.code[pc] = lw.inst(pc)
 		}
 	}
 	next := int32(n)
@@ -222,37 +211,123 @@ func compile(k *ptx.Kernel, slice *ControlSlice, opts ExecOptions, g *CFG, loops
 	return c, nil
 }
 
-// compileInst lowers one interpreted instruction, mirroring the
-// reference interpreter's step/branch/exit handling case for case.
-func (c *CompiledKernel) compileInst(k *ptx.Kernel, pc int, in *ptx.Instruction, info *ptx.OpInfo, slotOf func(string) int32, paramPos map[string]int32) cinst {
-	ci := cinst{pred: -1, dst: -1, target: -1}
-	if in.Pred != "" {
-		ci.pred = slotOf(in.Pred)
-		ci.predNeg = in.PredNeg
+// lowering is the state of one compile: it resolves registers to frame
+// slots and parameter names to declaration positions.
+type lowering struct {
+	c *CompiledKernel
+	d *ptx.DecodedKernel
+	// regSlot[id] is the frame slot of register id plus one (0: none
+	// yet). Slots are numbered in first-use order.
+	regSlot []int32
+	// byText is set once a slot was allocated for an operand that names
+	// no register id: a special register other than the four .x ones,
+	// or an operand with surrounding space.
+	byText bool
+	// params orders the parameter positions by name, then position.
+	params []int32
+}
+
+// newSlot allocates the next frame slot, named name in error messages.
+func (lw *lowering) newSlot(name string) int32 {
+	lw.c.regNames = append(lw.c.regNames, name)
+	return int32(len(lw.c.regNames) - 1)
+}
+
+// textSlot returns the slot of the register spelled name: a slot is
+// identified by its spelling, so an operand that names no register id
+// shares the slot of a register spelled the same way. It scans the
+// slots, which only such rare operands reach.
+func (lw *lowering) textSlot(name string) int32 {
+	for s, n := range lw.c.regNames {
+		if n == name {
+			return int32(s)
+		}
 	}
-	operand := func(op string) ref {
-		switch op {
-		case "%tid.x":
-			return ref{kind: refTid}
-		case "%ntid.x":
-			return ref{kind: refNTid}
-		case "%ctaid.x":
-			return ref{kind: refCtaID}
-		case "%nctaid.x":
-			return ref{kind: refNCtaID}
-		}
-		if strings.HasPrefix(op, "%") {
-			return ref{kind: refSlot, val: int64(slotOf(op))}
-		}
-		if strings.HasPrefix(op, "0f") || strings.HasPrefix(op, "0F") {
-			if bits, err := strconv.ParseUint(op[2:], 16, 64); err == nil {
-				return ref{kind: refImm, val: int64(bits)}
+	lw.byText = true
+	return lw.newSlot(name)
+}
+
+// slot returns the frame slot of register id.
+func (lw *lowering) slot(id int32) int32 {
+	if s := lw.regSlot[id]; s > 0 {
+		return s - 1
+	}
+	var s int32
+	if lw.byText {
+		s = lw.textSlot(lw.d.Regs[id])
+	} else {
+		s = lw.newSlot(lw.d.Regs[id])
+	}
+	lw.regSlot[id] = s + 1
+	return s
+}
+
+// operand lowers source operand op, decoded as src.
+func (lw *lowering) operand(op string, src *ptx.Src) ref {
+	if len(op) == len(src.Text) {
+		switch src.Kind {
+		case ptx.SrcImm, ptx.SrcFloat:
+			return ref{kind: refImm, val: src.Imm}
+		case ptx.SrcReg:
+			// A memory reference names a register but has no value.
+			if op[0] == '%' {
+				return ref{kind: refSlot, val: int64(lw.slot(src.Reg))}
 			}
-		} else if v, err := strconv.ParseInt(op, 10, 64); err == nil {
-			return ref{kind: refImm, val: v}
+		case ptx.SrcSpecial:
+			switch op {
+			case "%tid.x":
+				return ref{kind: refTid}
+			case "%ntid.x":
+				return ref{kind: refNTid}
+			case "%ctaid.x":
+				return ref{kind: refCtaID}
+			case "%nctaid.x":
+				return ref{kind: refNCtaID}
+			}
+			// Any other special register reads as a register.
+			return ref{kind: refSlot, val: int64(lw.textSlot(op))}
 		}
-		c.badNames = append(c.badNames, op)
-		return ref{kind: refBad, val: int64(len(c.badNames) - 1)}
+	} else if strings.HasPrefix(op, "%") {
+		// Surrounding space: a register spelled with it.
+		return ref{kind: refSlot, val: int64(lw.textSlot(op))}
+	}
+	c := lw.c
+	c.badNames = append(c.badNames, op)
+	return ref{kind: refBad, val: int64(len(c.badNames) - 1)}
+}
+
+// paramOrder returns the positions of params ordered by name, then by
+// position, for paramPos.
+func paramOrder(params []ptx.Param) []int32 {
+	order := make([]int32, len(params))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(params[a].Name, params[b].Name) })
+	return order
+}
+
+// paramPos returns the position of the parameter declared as name (the
+// last such declaration), or false when none is.
+func (lw *lowering) paramPos(name string) (int32, bool) {
+	params := lw.d.Kernel.Params
+	i := sort.Search(len(lw.params), func(i int) bool { return params[lw.params[i]].Name > name })
+	if i > 0 && params[lw.params[i-1]].Name == name {
+		return lw.params[i-1], true
+	}
+	return 0, false
+}
+
+// inst lowers the interpreted instruction at pc, mirroring the
+// reference interpreter's step/branch/exit handling case for case.
+func (lw *lowering) inst(pc int) cinst {
+	k := lw.d.Kernel
+	in, di := &k.Body[pc], &lw.d.Insts[pc]
+	info := &di.Op
+	ci := cinst{pred: -1, dst: -1, target: -1}
+	if di.Guard >= 0 {
+		ci.pred = lw.slot(di.Guard)
+		ci.predNeg = in.PredNeg
 	}
 	if info.Branch {
 		ci.op = copBra
@@ -270,10 +345,18 @@ func (c *CompiledKernel) compileInst(k *ptx.Kernel, pc int, in *ptx.Instruction,
 		ci.op = copExit
 		return ci
 	}
-	src := in.Sources()
+	src := in.Operands
 	if info.Dest {
-		ci.dst = slotOf(in.Dest())
+		if di.Dest >= 0 {
+			ci.dst = lw.slot(di.Dest)
+		} else {
+			ci.dst = lw.textSlot("") // no destination operand
+		}
+		if len(src) > 0 {
+			src = src[1:]
+		}
 	}
+	operand := func(i int) ref { return lw.operand(src[i], &di.Srcs[i]) }
 	// bad returns the lazily-erroring form carrying the reference
 	// interpreter's message for this instruction; the kernel name is
 	// substituted at execution time (compiled code is shared across
@@ -292,22 +375,22 @@ func (c *CompiledKernel) compileInst(k *ptx.Kernel, pc int, in *ptx.Instruction,
 		if !need(1) {
 			return arity(1)
 		}
-		ci.op, ci.a = copMov, operand(src[0])
+		ci.op, ci.a = copMov, operand(0)
 	case "neg":
 		if !need(1) {
 			return arity(1)
 		}
-		ci.op, ci.a = copNeg, operand(src[0])
+		ci.op, ci.a = copNeg, operand(0)
 	case "not":
 		if !need(1) {
 			return arity(1)
 		}
-		ci.op, ci.a = copNot, operand(src[0])
+		ci.op, ci.a = copNot, operand(0)
 	case "abs":
 		if !need(1) {
 			return arity(1)
 		}
-		ci.op, ci.a = copAbs, operand(src[0])
+		ci.op, ci.a = copAbs, operand(0)
 	case "ld":
 		if !need(1) {
 			return arity(1)
@@ -315,7 +398,7 @@ func (c *CompiledKernel) compileInst(k *ptx.Kernel, pc int, in *ptx.Instruction,
 		if strings.Contains(in.Opcode, "param") {
 			ci.op = copLdParam
 			name := strings.Trim(src[0], "[]")
-			if pos, ok := paramPos[name]; ok {
+			if pos, ok := lw.paramPos(name); ok {
 				// Declared parameters bind by position: the compiled
 				// kernel is shared across content-identical kernels
 				// whose parameter names differ.
@@ -333,13 +416,13 @@ func (c *CompiledKernel) compileInst(k *ptx.Kernel, pc int, in *ptx.Instruction,
 			return arity(2)
 		}
 		ci.op = binopKinds[info.Root]
-		ci.a, ci.b = operand(src[0]), operand(src[1])
+		ci.a, ci.b = operand(0), operand(1)
 	case "mad", "fma":
 		if !need(3) {
 			return arity(3)
 		}
 		ci.op = copMad
-		ci.a, ci.b, ci.c = operand(src[0]), operand(src[1]), operand(src[2])
+		ci.a, ci.b, ci.c = operand(0), operand(1), operand(2)
 	case "setp":
 		if !need(2) {
 			return arity(2)
@@ -349,13 +432,13 @@ func (c *CompiledKernel) compileInst(k *ptx.Kernel, pc int, in *ptx.Instruction,
 		if ci.cmp == cmpBad {
 			ci.name = info.Cmp
 		}
-		ci.a, ci.b = operand(src[0]), operand(src[1])
+		ci.a, ci.b = operand(0), operand(1)
 	case "selp":
 		if !need(3) {
 			return arity(3)
 		}
 		ci.op = copSelp
-		ci.a, ci.b, ci.c = operand(src[0]), operand(src[1]), operand(src[2])
+		ci.a, ci.b, ci.c = operand(0), operand(1), operand(2)
 	case "rcp", "sqrt", "rsqrt", "ex2", "lg2", "sin", "cos":
 		ci.op = copSfu
 	default:

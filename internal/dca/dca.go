@@ -100,6 +100,10 @@ type kernelFacts struct {
 	a   *ptxanalysis.KernelGate
 	d   analysiscache.Digest // zero without a cache
 	err error                // the analysis failure: a structurally broken body
+	// dec is k's body as the static pass of this call decoded it, nil
+	// when that pass read its gate from the cache. prepare reads it
+	// and drops it.
+	dec *ptx.DecodedKernel
 
 	prepared bool
 	cfg      *CFG
@@ -159,12 +163,17 @@ func (f *kernelFacts) prepare(ctx context.Context, opts Options) *kernelFacts {
 	if f.cfg, loops, f.prepErr = kernelCFG(f.k, f.a); f.prepErr != nil {
 		return f
 	}
-	f.g = BuildDepGraph(f.k)
-	f.slice = BuildControlSlice(f.k, f.g)
+	d := f.dec
+	if d == nil {
+		d = ptx.DecodeKernel(f.k)
+	}
+	f.dec = nil
+	f.g = buildDepGraph(d)
+	f.slice = buildControlSlice(d, f.g)
 	// The bytecode is derived, never cached: compiling costs less than
 	// decoding a stored copy, and every launch of the kernel in one
 	// AnalyzeProgram call shares f.
-	f.ck, f.prepErr = compile(f.k, f.slice, opts.Exec, f.cfg, loops)
+	f.ck, f.prepErr = compile(d, f.slice, opts.Exec, f.cfg, loops)
 	return f
 }
 
@@ -273,11 +282,14 @@ func analyzeKernelLaunchUncached(f *kernelFacts, l ptxgen.Launch, opts Options, 
 	}
 	inCtx := ThreadCtx{CtaID: 0, Tid: 0, NTid: int64(l.BlockX), NCtaID: int64(l.GridX)}
 	oobCtx := ThreadCtx{CtaID: int64(l.GridX) - 1, Tid: int64(l.BlockX) - 1, NTid: int64(l.BlockX), NCtaID: int64(l.GridX)}
-	inRes, inErr := f.ck.execute(k, l.Params, inCtx, fr, inVisits)
-	var oobRes ExecResult
+	// Both representatives read the launch's values bound once by
+	// declaration position.
+	fr.bindParams(k, l.Params)
+	var inRes, oobRes ExecResult
+	inErr := f.ck.exec(k, l.Params, inCtx, fr, inVisits, &inRes)
 	var oobErr error
 	if inErr == nil && runOob {
-		oobRes, oobErr = f.ck.execute(k, l.Params, oobCtx, fr, oobVisits)
+		oobErr = f.ck.exec(k, l.Params, oobCtx, fr, oobVisits, &oobRes)
 	}
 	if inErr != nil {
 		return rep, fmt.Errorf("dca: kernel %s: %w", k.Name, inErr)
@@ -361,6 +373,9 @@ func AnalyzeProgramContext(ctx context.Context, prog *ptxgen.Program, opts Optio
 				f := &kernelFacts{k: k}
 				if st != nil {
 					f.a, f.d = st.Kernels[i], st.Digests[i]
+					if i < len(st.Decoded) { // nil from ModuleAnalysis.Gate
+						f.dec = st.Decoded[i]
+					}
 				} else {
 					f.a, f.d, f.err = ptxanalysis.AnalyzeKernelGateCached(k, opts.Cache)
 				}

@@ -24,71 +24,69 @@ func (g *DepGraph) Edges() int {
 	return n
 }
 
-// regOperand extracts the register name from an operand, handling memory
-// references "[%rd1+4]" and plain registers "%r3". Immediates, labels,
-// parameter names and special read-only registers return "". The
-// extraction is shared with the static analyses via ptx.RegOperand.
-func regOperand(op string) string { return ptx.RegOperand(op) }
-
 // BuildDepGraph constructs the dependency graph of a kernel body.
-func BuildDepGraph(k *ptx.Kernel) *DepGraph {
-	n := len(k.Body)
-	// Registers get dense ids, interned once per defined name. The
-	// definitions of register id form a list in body order, from
-	// head[id] along next; tail[id] is its last. Each instruction
-	// defines at most one register.
-	ids := make(map[string]int32, n)
-	head, tail := make([]int32, 0, n), make([]int32, 0, n)
-	next := make([]int32, n)
-	for i := range k.Body {
+func BuildDepGraph(k *ptx.Kernel) *DepGraph { return buildDepGraph(ptx.DecodeKernel(k)) }
+
+// buildDepGraph constructs the dependency graph of a decoded kernel
+// body. A register is named by its decoded id: a destination by its
+// operand text, a source by the register it reads (directly or as a
+// memory reference's address), a guard by its predicate.
+func buildDepGraph(d *ptx.DecodedKernel) *DepGraph {
+	n, nr := len(d.Insts), d.NumOperandRegs
+	// The definitions of register r form a list in body order, from
+	// head[r] along next; tail[r] is its last. Each instruction defines
+	// at most one register, and destinations are operand registers, so
+	// their ids are below NumOperandRegs. seen[j] == i+1 once j is a
+	// dependency of instruction i.
+	lists := make([]int32, 2*nr+2*n)
+	head, tail, next, seen := lists[:nr], lists[nr:2*nr], lists[2*nr:2*nr+n], lists[2*nr+n:]
+	for r := range head {
+		head[r] = -1
+	}
+	reads := 0
+	for i := range d.Insts {
+		in := &d.Insts[i]
+		reads += len(in.Srcs) + 1
 		next[i] = -1
-		d := k.Body[i].Dest()
-		if d == "" {
+		r := in.Dest
+		if r < 0 {
 			continue
 		}
-		if id, ok := ids[d]; ok {
-			next[tail[id]] = int32(i)
-			tail[id] = int32(i)
+		if head[r] < 0 {
+			head[r] = int32(i)
 		} else {
-			ids[d] = int32(len(head))
-			head = append(head, int32(i))
-			tail = append(tail, int32(i))
+			next[tail[r]] = int32(i)
 		}
+		tail[r] = int32(i)
 	}
-	// Every instruction's dependencies go into one backing array, and
-	// seen[d] == i+1 once d is a dependency of instruction i. An
+	// Every instruction's dependencies go into one backing array, sized
+	// for one definition per register read; a register defined more
+	// often grows it, and the earlier instructions keep theirs. An
 	// accumulator read of the destination (fma d, a, b, d) is a source.
-	var all []int
-	end := make([]int, n)
-	seen := make([]int, n)
-	for i := range k.Body {
-		in := &k.Body[i]
-		srcs := in.Sources()
-		for s := 0; s <= len(srcs); s++ {
-			reg := in.Pred // after the sources
-			if s < len(srcs) {
-				reg = regOperand(srcs[s])
-			}
-			id, ok := ids[reg]
-			if !ok {
-				continue
-			}
-			for d := head[id]; d >= 0; d = next[d] {
-				if int(d) != i && seen[d] != i+1 {
-					seen[d] = i + 1
-					all = append(all, int(d))
-				}
+	all := make([]int, 0, reads)
+	deps := func(i int, r int32) {
+		for j := head[r]; j >= 0; j = next[j] {
+			if int(j) != i && seen[j] != int32(i+1) {
+				seen[j] = int32(i + 1)
+				all = append(all, int(j))
 			}
 		}
-		end[i] = len(all)
 	}
 	g := &DepGraph{Deps: make([][]int, n)}
-	from := 0
-	for i, e := range end {
-		if e > from {
-			g.Deps[i] = all[from:e:e]
+	for i := range d.Insts {
+		in := &d.Insts[i]
+		from := len(all)
+		for s := range in.Srcs {
+			if in.Srcs[s].Kind == ptx.SrcReg {
+				deps(i, in.Srcs[s].Reg)
+			}
 		}
-		from = e
+		if in.Guard >= 0 {
+			deps(i, in.Guard)
+		}
+		if to := len(all); to > from {
+			g.Deps[i] = all[from:to:to]
+		}
 	}
 	return g
 }

@@ -43,19 +43,24 @@ func fit[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// bind prepares the frame for one run of c on kernel k: every register
-// reads as unwritten, and each declared parameter holds its launch
-// value. Parameters bind by position so cached compiled kernels work
-// across renamed-but-identical kernels.
-func (fr *frame) bind(c *CompiledKernel, k *ptx.Kernel, params map[string]int64) {
-	fr.regs = fit(fr.regs, c.slots) // reads gated by written
-	fr.written = fit(fr.written, c.slots)
-	clear(fr.written)
+// bindParams binds the launch values params to the declared parameters
+// of k by declaration position, so cached compiled kernels work across
+// renamed-but-identical kernels. One binding serves every run of a
+// launch.
+func (fr *frame) bindParams(k *ptx.Kernel, params map[string]int64) {
 	fr.pvals = fit(fr.pvals, len(k.Params))
 	fr.pok = fit(fr.pok, len(k.Params))
 	for i, p := range k.Params {
 		fr.pvals[i], fr.pok[i] = params[p.Name]
 	}
+}
+
+// reset prepares the register file for one run of c: every register
+// reads as unwritten.
+func (fr *frame) reset(c *CompiledKernel) {
+	fr.regs = fit(fr.regs, c.slots) // reads gated by written
+	fr.written = fit(fr.written, c.slots)
+	clear(fr.written)
 }
 
 // visitCounts returns representative i's zeroed visit counters, one per
@@ -97,16 +102,31 @@ func (c *CompiledKernel) Execute(k *ptx.Kernel, params map[string]int64, ctx Thr
 // iterations. With a warm frame the call performs no heap allocations
 // on the success path.
 func (c *CompiledKernel) execute(k *ptx.Kernel, params map[string]int64, ctx ThreadCtx, fr *frame, visits []int64) (ExecResult, error) {
-	t := thread{c: c, k: k, params: params, ctx: ctx, fr: fr, visits: visits}
-	err := t.run()
-	return t.res, err
+	fr.bindParams(k, params)
+	var res ExecResult
+	err := c.exec(k, params, ctx, fr, visits, &res)
+	return res, err
+}
+
+// exec is execute over the parameter values already bound in fr
+// (bindParams), filling the caller-owned res. params serves only the
+// loads of parameters k does not declare.
+func (c *CompiledKernel) exec(k *ptx.Kernel, params map[string]int64, ctx ThreadCtx, fr *frame, visits []int64, res *ExecResult) error {
+	*res = ExecResult{}
+	// Field by field: a composite literal of the thread is built aside
+	// and copied in.
+	var t thread
+	t.c, t.k, t.params, t.ctx, t.fr, t.visits, t.res = c, k, params, ctx, fr, visits, res
+	return t.run()
 }
 
 // thread is the transient state of one compiled execution; it lives on
 // the caller's stack.
 type thread struct {
-	c      *CompiledKernel
-	k      *ptx.Kernel
+	c *CompiledKernel
+	k *ptx.Kernel
+	// params are the launch's values by name, read only for parameters
+	// the kernel does not declare (declared ones are bound in fr).
 	params map[string]int64
 	ctx    ThreadCtx
 	fr     *frame
@@ -114,14 +134,14 @@ type thread struct {
 	// trace, when non-nil, receives the class of every executed
 	// instruction in execution order (TraceThread).
 	trace *[]ptx.Class
-	res   ExecResult
+	res   *ExecResult
 }
 
-// run binds the frame and executes the thread to completion.
+// run resets the register file and executes the thread to completion.
 func (t *thread) run() error {
 	engineRuns.Add(1)
 	c, fr := t.c, t.fr
-	fr.bind(c, t.k, t.params)
+	fr.reset(c)
 	n := int32(len(c.code))
 	pc := int32(0)
 	for pc < n {

@@ -11,7 +11,9 @@ import (
 // full mode, as one lane and as the in-bounds/out-of-bounds pair the
 // analysis runs, both engines must agree on Steps, Interpreted,
 // BackBranches and the per-class histogram — and on whether execution
-// fails, with the same error text.
+// fails, with the same error text. The dependency graph and control
+// slice built over the decoded kernel must equal the string-walking
+// oracle's.
 func FuzzEngineDifferential(f *testing.F) {
 	const header = ".version 6.0\n.target sm_61\n.address_size 64\n"
 	seeds := []string{
@@ -63,6 +65,9 @@ func FuzzEngineDifferential(f *testing.F) {
 		}
 		seeds = append(seeds, src)
 	}
+	for _, tc := range operandSpellings {
+		seeds = append(seeds, header+".visible .entry k(\n.param .u64 p0\n)\n{\n"+tc.body+"}\n")
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -81,6 +86,7 @@ func FuzzEngineDifferential(f *testing.F) {
 			for i, p := range k.Params {
 				params[p.Name] = int64(7 + 13*i)
 			}
+			checkGraphsMatchReference(t, k.Name, k)
 			slice := BuildControlSlice(k, BuildDepGraph(k))
 			for _, full := range []bool{false, true} {
 				opts := ExecOptions{MaxSteps: 10_000, Full: full}

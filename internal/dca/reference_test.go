@@ -8,6 +8,99 @@ import (
 	"cnnperf/internal/ptx"
 )
 
+// regOperand extracts the register name from an operand, handling memory
+// references "[%rd1+4]" and plain registers "%r3". Immediates, labels,
+// parameter names and special read-only registers return "".
+func regOperand(op string) string { return ptx.RegOperand(op) }
+
+// refBuildDepGraph is the string-walking dependency graph, the oracle
+// that buildDepGraph over the decoded kernel must reproduce: registers
+// are named by their operand text, interned once per defined name.
+func refBuildDepGraph(k *ptx.Kernel) *DepGraph {
+	n := len(k.Body)
+	// The definitions of register id form a list in body order, from
+	// head[id] along next; tail[id] is its last.
+	ids := make(map[string]int32, n)
+	head, tail := make([]int32, 0, n), make([]int32, 0, n)
+	next := make([]int32, n)
+	for i := range k.Body {
+		next[i] = -1
+		d := k.Body[i].Dest()
+		if d == "" {
+			continue
+		}
+		if id, ok := ids[d]; ok {
+			next[tail[id]] = int32(i)
+			tail[id] = int32(i)
+		} else {
+			ids[d] = int32(len(head))
+			head = append(head, int32(i))
+			tail = append(tail, int32(i))
+		}
+	}
+	var all []int
+	end := make([]int, n)
+	seen := make([]int, n)
+	for i := range k.Body {
+		in := &k.Body[i]
+		srcs := in.Sources()
+		for s := 0; s <= len(srcs); s++ {
+			reg := in.Pred // after the sources
+			if s < len(srcs) {
+				reg = regOperand(srcs[s])
+			}
+			id, ok := ids[reg]
+			if !ok {
+				continue
+			}
+			for d := head[id]; d >= 0; d = next[d] {
+				if int(d) != i && seen[d] != i+1 {
+					seen[d] = i + 1
+					all = append(all, int(d))
+				}
+			}
+		}
+		end[i] = len(all)
+	}
+	g := &DepGraph{Deps: make([][]int, n)}
+	from := 0
+	for i, e := range end {
+		if e > from {
+			g.Deps[i] = all[from:e:e]
+		}
+		from = e
+	}
+	return g
+}
+
+// refBuildControlSlice is the string-walking control slice, the oracle
+// for buildControlSlice: the branches and exits of the body, closed
+// backwards over g.
+func refBuildControlSlice(k *ptx.Kernel, g *DepGraph) *ControlSlice {
+	s := &ControlSlice{InSlice: make([]bool, len(k.Body))}
+	var stack []int
+	mark := func(i int) {
+		if !s.InSlice[i] {
+			s.InSlice[i] = true
+			s.Size++
+			stack = append(stack, i)
+		}
+	}
+	for i, in := range k.Body {
+		if ptx.IsBranch(in.Opcode) || ptx.IsExit(in.Opcode) {
+			mark(i)
+		}
+	}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, d := range g.Deps[i] {
+			mark(d)
+		}
+	}
+	return s
+}
+
 // ExecuteThread runs one thread through the kernel, evaluating only the
 // control slice (or everything under opts.Full) and counting every
 // instruction the thread would execute. It is the tree-walking

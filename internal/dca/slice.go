@@ -26,25 +26,31 @@ func (s *ControlSlice) Fraction() float64 {
 // BuildControlSlice computes the control slice of a kernel given its
 // dependency graph.
 func BuildControlSlice(k *ptx.Kernel, g *DepGraph) *ControlSlice {
-	n := len(k.Body)
+	return buildControlSlice(ptx.DecodeKernel(k), g)
+}
+
+// buildControlSlice computes the control slice of a decoded kernel
+// given its dependency graph.
+func buildControlSlice(d *ptx.DecodedKernel, g *DepGraph) *ControlSlice {
+	n := len(d.Insts)
 	s := &ControlSlice{InSlice: make([]bool, n)}
-	var stack []int
+	stack := make([]int, 0, n) // each instruction is pushed at most once
 	mark := func(i int) {
 		if !s.InSlice[i] {
 			s.InSlice[i] = true
 			stack = append(stack, i)
 		}
 	}
-	for i, in := range k.Body {
-		if ptx.IsBranch(in.Opcode) || ptx.IsExit(in.Opcode) {
+	for i := range d.Insts {
+		if op := &d.Insts[i].Op; op.Branch || op.Exit {
 			mark(i)
 		}
 	}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, d := range g.Deps[i] {
-			mark(d)
+		for _, j := range g.Deps[i] {
+			mark(j)
 		}
 	}
 	for _, in := range s.InSlice {

@@ -18,13 +18,17 @@ func TraceThread(k *ptx.Kernel, l ptxgen.Launch, maxLen int) ([]ptx.Class, error
 	if maxLen <= 0 {
 		maxLen = 10_000_000
 	}
-	ck, err := Compile(k, BuildControlSlice(k, BuildDepGraph(k)), ExecOptions{MaxSteps: int64(maxLen)})
+	d := ptx.DecodeKernel(k)
+	g, loops, _ := kernelCFG(k, nil)
+	ck, err := compile(d, buildControlSlice(d, buildDepGraph(d)), ExecOptions{MaxSteps: int64(maxLen)}, g, loops)
 	if err != nil {
 		return nil, err
 	}
 	trace := make([]ptx.Class, 0, 1024)
+	fr := &frame{}
+	fr.bindParams(k, l.Params)
 	t := thread{
-		c: ck, k: k, params: l.Params, fr: &frame{}, trace: &trace,
+		c: ck, k: k, params: l.Params, fr: fr, trace: &trace, res: &ExecResult{},
 		ctx: ThreadCtx{NTid: int64(l.BlockX), NCtaID: int64(l.GridX)},
 	}
 	if err := t.run(); err != nil {

@@ -148,7 +148,43 @@ func (k *Kernel) StaticHistogram() map[Class]int64 {
 
 // Validate checks label targets, label table consistency and operand
 // arity of the body.
-func (k *Kernel) Validate() error {
+func (k *Kernel) Validate() error { return k.validate(nil) }
+
+// validate is Validate for a kernel of module m (nil: standalone). In
+// a module, a branch resolving only against a label of a sibling kernel
+// is rejected with a dedicated error, which takes precedence over every
+// other finding; PTX labels are function-scoped, so such a branch can
+// never be assembled. One pass over the body decodes each opcode once
+// and keeps the first finding of each kind, and the findings are
+// reported in the order of the checks: the sibling branch, the name,
+// the label table, then the body.
+func (k *Kernel) validate(m *Module) error {
+	var sibling, body error
+	for i, in := range k.Body {
+		if body != nil && (m == nil || sibling != nil) {
+			break
+		}
+		info := Decode(in.Opcode)
+		if m != nil && sibling == nil && info.Branch && len(in.Operands) == 1 {
+			sibling = m.siblingLabel(k, i, in.Operands[0])
+		}
+		if body != nil {
+			continue
+		}
+		switch {
+		case in.Opcode == "":
+			body = fmt.Errorf("ptx: kernel %q: empty opcode at %d", k.Name, i)
+		case info.Class == ClassUnknown:
+			body = fmt.Errorf("ptx: kernel %q: unknown opcode %q at %d", k.Name, in.Opcode, i)
+		case info.Branch && len(in.Operands) != 1:
+			body = fmt.Errorf("ptx: kernel %q: %s needs 1 operand at %d", k.Name, in.Opcode, i)
+		case info.Branch:
+			_, body = k.Target(in.Operands[0])
+		}
+	}
+	if sibling != nil {
+		return sibling
+	}
 	if k.Name == "" {
 		return fmt.Errorf("ptx: kernel without name")
 	}
@@ -174,23 +210,7 @@ func (k *Kernel) Validate() error {
 			}
 		}
 	}
-	for i, in := range k.Body {
-		if in.Opcode == "" {
-			return fmt.Errorf("ptx: kernel %q: empty opcode at %d", k.Name, i)
-		}
-		if ClassOf(in.Opcode) == ClassUnknown {
-			return fmt.Errorf("ptx: kernel %q: unknown opcode %q at %d", k.Name, in.Opcode, i)
-		}
-		if IsBranch(in.Opcode) {
-			if len(in.Operands) != 1 {
-				return fmt.Errorf("ptx: kernel %q: %s needs 1 operand at %d", k.Name, in.Opcode, i)
-			}
-			if _, err := k.Target(in.Operands[0]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return body
 }
 
 // Module is a translation unit: header directives plus kernels.
@@ -229,26 +249,26 @@ func (m *Module) Validate() error {
 			return fmt.Errorf("ptx: duplicate kernel %q", k.Name)
 		}
 		seen[k.Name] = true
-		for i, in := range k.Body {
-			if !IsBranch(in.Opcode) || len(in.Operands) != 1 {
-				continue
-			}
-			label := in.Operands[0]
-			if _, ok := k.Labels[label]; ok {
-				continue
-			}
-			for _, other := range m.Kernels {
-				if other == k {
-					continue
-				}
-				if _, ok := other.Labels[label]; ok {
-					return fmt.Errorf("ptx: kernel %q: branch at %d targets label %q of kernel %q (labels are function-scoped)",
-						k.Name, i, label, other.Name)
-				}
-			}
-		}
-		if err := k.Validate(); err != nil {
+		if err := k.validate(m); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// siblingLabel reports the branch at index i of k to label when label
+// is not k's own but a label of another kernel of m.
+func (m *Module) siblingLabel(k *Kernel, i int, label string) error {
+	if _, ok := k.Labels[label]; ok {
+		return nil
+	}
+	for _, other := range m.Kernels {
+		if other == k {
+			continue
+		}
+		if _, ok := other.Labels[label]; ok {
+			return fmt.Errorf("ptx: kernel %q: branch at %d targets label %q of kernel %q (labels are function-scoped)",
+				k.Name, i, label, other.Name)
 		}
 	}
 	return nil

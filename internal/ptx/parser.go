@@ -17,6 +17,10 @@ func Parse(src string) (*Module, error) {
 type parser struct {
 	lines []string
 	pos   int
+	// ops is the current kernel's operand backing array: each
+	// instruction's Operands is a capacity-limited sub-slice of it, so
+	// appending to one instruction's operands never overwrites the next.
+	ops []string
 }
 
 // splitLines normalises the input: strips // comments and blank lines,
@@ -147,6 +151,9 @@ func (p *parser) parseKernel() (*Kernel, error) {
 		}
 		body = strings.TrimSpace(strings.TrimPrefix(body, "{"))
 	}
+	insts, ops := p.bodyBounds(body)
+	k.Body = make([]Instruction, 0, insts)
+	p.ops = make([]string, 0, ops)
 	if body != "" {
 		// Rare: instruction on the brace line.
 		if err := p.parseBodyLine(k, body); err != nil {
@@ -175,7 +182,26 @@ func (p *parser) parseKernel() (*Kernel, error) {
 			return nil, err
 		}
 	}
+	if len(k.Body) == 0 {
+		k.Body = nil // as a kernel assembled without instructions
+	}
 	return k, nil
+}
+
+// bodyBounds bounds the instruction and operand counts of the kernel
+// body made of first (the text after the opening brace) and the lines
+// up to the closing brace: an instruction ends with a ';', and has at
+// most one operand more than it has commas.
+func (p *parser) bodyBounds(first string) (insts, ops int) {
+	semis, commas := strings.Count(first, ";"), strings.Count(first, ",")
+	for _, l := range p.lines[p.pos:] {
+		semis += strings.Count(l, ";")
+		commas += strings.Count(l, ",")
+		if strings.HasSuffix(l, "}") {
+			break
+		}
+	}
+	return semis, semis + commas
 }
 
 // parseBodyLine handles one body line: a .reg declaration, a label, or
@@ -209,7 +235,7 @@ func (p *parser) parseBodyLine(k *Kernel, line string) error {
 		if stmt == "" {
 			continue
 		}
-		in, err := parseInstruction(stmt)
+		in, err := p.parseInstruction(stmt)
 		if err != nil {
 			return p.errf("%v", err)
 		}
@@ -257,8 +283,9 @@ func (p *parser) parseRegDecl(k *Kernel, line string) error {
 	return nil
 }
 
-// parseInstruction parses "@!%p1 opcode a, b, c" (no trailing ';').
-func parseInstruction(stmt string) (Instruction, error) {
+// parseInstruction parses "@!%p1 opcode a, b, c" (no trailing ';'),
+// carving the operands out of the kernel's backing array.
+func (p *parser) parseInstruction(stmt string) (Instruction, error) {
 	var in Instruction
 	if strings.HasPrefix(stmt, "@") {
 		sp := strings.IndexAny(stmt, " \t")
@@ -280,16 +307,16 @@ func parseInstruction(stmt string) (Instruction, error) {
 	}
 	in.Opcode = stmt[:sp]
 	rest := stmt[sp+1:]
-	ops := make([]string, 0, strings.Count(rest, ",")+1)
+	start := len(p.ops)
 	for more := true; more; {
 		var o string
 		o, rest, more = strings.Cut(rest, ",")
 		if o = strings.TrimSpace(o); o != "" {
-			ops = append(ops, o)
+			p.ops = append(p.ops, o)
 		}
 	}
-	if len(ops) > 0 {
-		in.Operands = ops
+	if end := len(p.ops); end > start {
+		in.Operands = p.ops[start:end:end]
 	}
 	return in, nil
 }

@@ -2,6 +2,7 @@ package ptx
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -207,6 +208,12 @@ func TestModuleValidateRejectsCrossKernelBranch(t *testing.T) {
 	if !strings.Contains(err.Error(), "function-scoped") || !strings.Contains(err.Error(), `"a"`) {
 		t.Errorf("error should name the owning kernel: %v", err)
 	}
+	// The cross-kernel branch is reported even behind an earlier
+	// finding in the body.
+	b.Body = append([]Instruction{{Opcode: "frob.u32"}}, b.Body...)
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "function-scoped") {
+		t.Errorf("cross-kernel branch behind an unknown opcode: %v", err)
+	}
 	// The equivalent source text must be rejected by Parse too.
 	src := ".version 6.0\n.target sm_61\n.address_size 64\n" +
 		".visible .entry a()\n{\nDONE:\n\tret;\n}\n" +
@@ -359,20 +366,41 @@ func TestIsLabelName(t *testing.T) {
 }
 
 func TestParseInstructionForms(t *testing.T) {
-	in, err := parseInstruction("ld.global.f32 %f1, [%rd4+16]")
+	p := &parser{}
+	in, err := p.parseInstruction("ld.global.f32 %f1, [%rd4+16]")
 	if err != nil || in.Opcode != "ld.global.f32" || in.Operands[1] != "[%rd4+16]" {
 		t.Errorf("load parse: %+v, %v", in, err)
 	}
-	in, err = parseInstruction("@!%p3 mov.u32 %r1, %r2")
+	in, err = p.parseInstruction("@!%p3 mov.u32 %r1, %r2")
 	if err != nil || !in.PredNeg || in.Pred != "%p3" {
 		t.Errorf("negated predicate parse: %+v, %v", in, err)
 	}
-	in, err = parseInstruction("ret")
+	in, err = p.parseInstruction("ret")
 	if err != nil || in.Opcode != "ret" || len(in.Operands) != 0 {
 		t.Errorf("ret parse: %+v, %v", in, err)
 	}
-	if _, err := parseInstruction("@%p1"); err == nil {
+	if _, err := p.parseInstruction("@%p1"); err == nil {
 		t.Error("predicate without opcode should error")
+	}
+}
+
+// TestParsedOperandsDoNotAlias checks that the instructions of a parsed
+// kernel, whose operands share one backing array, do not alias: growing
+// one instruction's operands leaves the next instruction unchanged.
+func TestParsedOperandsDoNotAlias(t *testing.T) {
+	m, err := Parse(".version 6.0\n.target sm_61\n.address_size 64\n" +
+		".visible .entry k(\n.param .u64 k_p0\n)\n{\n" +
+		"mov.u32 %r1, %tid.x;\nadd.s32 %r2, %r1, 1;\nret;\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := m.Kernels[0].Body
+	body[0].Operands = append(body[0].Operands, "%r9")
+	if got := body[1].Operands; !reflect.DeepEqual(got, []string{"%r2", "%r1", "1"}) {
+		t.Errorf("appending to the first instruction's operands changed the next one's to %q", got)
+	}
+	if body[2].Operands != nil {
+		t.Errorf("ret parsed with operands %q", body[2].Operands)
 	}
 }
 

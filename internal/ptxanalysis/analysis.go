@@ -99,17 +99,8 @@ func AnalyzeKernelContext(ctx context.Context, k *ptx.Kernel) (*KernelAnalysis, 
 // analysis: the part the dynamic code analysis reads. Its fields and
 // its error equal those of AnalyzeKernel.
 func AnalyzeKernelGate(k *ptx.Kernel) (*KernelGate, error) {
-	if k == nil {
-		return nil, fmt.Errorf("ptxanalysis: nil kernel")
-	}
-	if len(k.Body) == 0 {
-		return &KernelGate{Kernel: k.Name}, nil
-	}
-	p, err := gatePasses(k, k.Name)
-	if err != nil {
-		return nil, err
-	}
-	return p.gate(), nil
+	g, _, _, err := kernelGate(k, nil)
+	return g, err
 }
 
 // emptyAnalysis is the full level of a kernel with an empty body.
@@ -193,6 +184,11 @@ type ModuleGate struct {
 	// Digests are the per-kernel content digests, parallel to Kernels
 	// (zero without a cache), from which the DCA derives its keys.
 	Digests []analysiscache.Digest
+	// Decoded are the kernel bodies this call decoded, parallel to
+	// Kernels: nil where the gate came from the cache. They belong to
+	// the call, never to a cache entry, so the DCA of the same call
+	// compiles from them instead of decoding again.
+	Decoded []*ptx.DecodedKernel
 }
 
 // ModuleAnalysis aggregates the per-kernel analyses of one module with
@@ -297,17 +293,19 @@ func AnalyzeModuleGateCachedContext(ctx context.Context, m *ptx.Module, c *analy
 	out := &ModuleGate{
 		Kernels: make([]*KernelGate, 0, len(m.Kernels)),
 		Digests: make([]analysiscache.Digest, 0, len(m.Kernels)),
+		Decoded: make([]*ptx.DecodedKernel, 0, len(m.Kernels)),
 	}
 	for _, k := range m.Kernels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		g, d, err := AnalyzeKernelGateCached(k, c)
+		g, dec, d, err := kernelGate(k, c)
 		if err != nil {
 			return nil, err
 		}
 		out.Kernels = append(out.Kernels, g)
 		out.Digests = append(out.Digests, d)
+		out.Decoded = append(out.Decoded, dec)
 	}
 	return out, nil
 }
@@ -349,10 +347,14 @@ func (m *memo) complete(ctx context.Context, k *ptx.Kernel) *KernelAnalysis {
 
 // memoOf returns k's cache entry in c and k's content digest, creating
 // the entry on a miss — completed too when full is set, so a
-// full-level miss runs each pass once. The entry's strings are cloned:
-// a kernel parsed out of a request body must not pin the body.
-func memoOf(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache, full bool) (*memo, analysiscache.Digest, error) {
+// full-level miss runs each pass once — and then also returning the
+// body it decoded, which the entry does not hold. The entry's strings
+// are cloned: a kernel parsed out of a request body must not pin the
+// body.
+func memoOf(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache, full bool) (*memo, *ptx.DecodedKernel, analysiscache.Digest, error) {
 	d := analysiscache.NewDigest(k)
+	var dec *ptx.DecodedKernel
+	// GetOrCompute runs the closure on this goroutine, within this call.
 	v, _, err := c.GetOrCompute(d.Key("ptxa"), func() (any, error) {
 		name := strings.Clone(k.Name)
 		if len(k.Body) == 0 {
@@ -362,6 +364,7 @@ func memoOf(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache, full boo
 		if err != nil {
 			return nil, err
 		}
+		dec = p.d
 		m := &memo{gate: p.gate()}
 		if full {
 			m.full.Store(p.full(ctx, m.gate))
@@ -369,9 +372,9 @@ func memoOf(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache, full boo
 		return m, nil
 	})
 	if err != nil {
-		return nil, d, err
+		return nil, nil, d, err
 	}
-	return v.(*memo), d, nil
+	return v.(*memo), dec, d, nil
 }
 
 // AnalyzeKernelCached memoizes AnalyzeKernelContext in c under the
@@ -389,7 +392,7 @@ func AnalyzeKernelCached(ctx context.Context, k *ptx.Kernel, c *analysiscache.Ca
 		a, err := AnalyzeKernelContext(ctx, k)
 		return a, analysiscache.Digest{}, err
 	}
-	m, d, err := memoOf(ctx, k, c, true)
+	m, _, d, err := memoOf(ctx, k, c, true)
 	if err != nil {
 		return nil, d, err
 	}
@@ -407,15 +410,31 @@ func AnalyzeKernelCached(ctx context.Context, k *ptx.Kernel, c *analysiscache.Ca
 // miss it creates the kernel's entry with only the gate level computed,
 // which a later full-level consumer completes in place.
 func AnalyzeKernelGateCached(k *ptx.Kernel, c *analysiscache.Cache) (*KernelGate, analysiscache.Digest, error) {
-	if c == nil || k == nil {
-		g, err := AnalyzeKernelGate(k)
-		return g, analysiscache.Digest{}, err
+	g, _, d, err := kernelGate(k, c)
+	return g, d, err
+}
+
+// kernelGate is AnalyzeKernelGateCached also returning the body it
+// decoded: nil when the gate came from c or the body is empty.
+func kernelGate(k *ptx.Kernel, c *analysiscache.Cache) (*KernelGate, *ptx.DecodedKernel, analysiscache.Digest, error) {
+	if k == nil {
+		return nil, nil, analysiscache.Digest{}, fmt.Errorf("ptxanalysis: nil kernel")
 	}
-	m, d, err := memoOf(context.Background(), k, c, false)
+	if c == nil {
+		if len(k.Body) == 0 {
+			return &KernelGate{Kernel: k.Name}, nil, analysiscache.Digest{}, nil
+		}
+		p, err := gatePasses(k, k.Name)
+		if err != nil {
+			return nil, nil, analysiscache.Digest{}, err
+		}
+		return p.gate(), p.d, analysiscache.Digest{}, nil
+	}
+	m, dec, d, err := memoOf(context.Background(), k, c, false)
 	if err != nil {
-		return nil, d, err
+		return nil, nil, d, err
 	}
-	return m.gate.renamed(k.Name), d, nil
+	return m.gate.renamed(k.Name), dec, d, nil
 }
 
 // renamed returns g as seen from a content-identical kernel named name:

@@ -162,7 +162,9 @@ func TestMemoCompletesInPlace(t *testing.T) {
 	if !reflect.DeepEqual(full.Kernels, want.Kernels) || !reflect.DeepEqual(full.Features(), want.Features()) {
 		t.Error("the completed module analysis differs from an uncached one")
 	}
-	if !reflect.DeepEqual(full.Gate(), gates) {
+	// The gate pass's Decoded belong to that call, so only the cached
+	// levels compare.
+	if fg := full.Gate(); !reflect.DeepEqual(fg.Kernels, gates.Kernels) || !reflect.DeepEqual(fg.Digests, gates.Digests) {
 		t.Error("the completed analysis's gate level differs from the gate pass")
 	}
 }
@@ -199,6 +201,50 @@ func TestMemoCompletesOnce(t *testing.T) {
 	for i, a := range got {
 		if a != got[0] {
 			t.Errorf("consumer %d read another value than consumer 0", i)
+		}
+	}
+}
+
+// TestModuleGateDecodedPerCall checks that the gate pass hands the DCA
+// the bodies it decoded, and only those: on a fresh cache every kernel
+// whose entry the pass created carries its decoded body, equal to a
+// fresh decode, and every kernel whose entry it read carries none;
+// over the same cache again, no kernel carries one. The entries
+// themselves hold no decoded body (TestMemoCompletesInPlace).
+func TestModuleGateDecodedPerCall(t *testing.T) {
+	_, m := parsedAlexnet(t)
+	c := analysiscache.New(0)
+	cold, err := AnalyzeModuleGateCachedContext(context.Background(), m, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.Decoded) != len(m.Kernels) {
+		t.Fatalf("%d decoded bodies for %d kernels", len(cold.Decoded), len(m.Kernels))
+	}
+	created := make(map[string]bool)
+	for i, k := range m.Kernels {
+		key := cold.Digests[i].Key("ptxa")
+		dec := cold.Decoded[i]
+		if created[key] {
+			if dec != nil {
+				t.Errorf("%s: read its entry but carries a decoded body", k.Name)
+			}
+			continue
+		}
+		created[key] = true
+		if dec == nil || dec.Kernel != k {
+			t.Errorf("%s: created its entry but carries no decoded body of it", k.Name)
+		} else if !reflect.DeepEqual(dec, ptx.DecodeKernel(k)) {
+			t.Errorf("%s: the handed-over body differs from a fresh decode", k.Name)
+		}
+	}
+	warm, err := AnalyzeModuleGateCachedContext(context.Background(), m, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, dec := range warm.Decoded {
+		if dec != nil {
+			t.Errorf("%s: a cached gate carries a decoded body", m.Kernels[i].Name)
 		}
 	}
 }
