@@ -33,6 +33,13 @@ type Graph struct {
 // BlockOf returns the block index containing instruction idx.
 func (g *Graph) BlockOf(idx int) int { return g.blockOf[idx] }
 
+// Flags of one instruction in Build's kind table.
+const (
+	leader uint8 = 1 << iota // starts a basic block
+	branch                   // a branch (ptx.OpInfo.Branch)
+	exit                     // terminates the thread (ptx.OpInfo.Exit)
+)
+
 // Build partitions the kernel body into basic blocks and wires the
 // successor and predecessor edges from branch targets and fallthrough.
 // The entry block is always Blocks[0].
@@ -41,10 +48,15 @@ func Build(k *ptx.Kernel) (*Graph, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("cfg: kernel %q has an empty body", k.Name)
 	}
-	leaders := make(map[int]bool, 8)
-	leaders[0] = true
-	for i, in := range k.Body {
-		if ptx.IsBranch(in.Opcode) {
+	// One decode per instruction: kind[i] records whether instruction i
+	// branches or exits and whether it starts a block. kind has n+1
+	// entries so the fallthrough past a terminator needs no bounds test.
+	kind := make([]uint8, n+1)
+	kind[0] = leader
+	for i := range k.Body {
+		in := &k.Body[i]
+		op := ptx.Decode(in.Opcode)
+		if op.Branch {
 			if len(in.Operands) != 1 {
 				return nil, fmt.Errorf("cfg: kernel %q: branch at %d needs 1 operand", k.Name, i)
 			}
@@ -53,43 +65,48 @@ func Build(k *ptx.Kernel) (*Graph, error) {
 				return nil, fmt.Errorf("cfg: %w", err)
 			}
 			if tgt < n {
-				leaders[tgt] = true
+				kind[tgt] |= leader
 			}
-			if i+1 < n {
-				leaders[i+1] = true
-			}
+			kind[i] |= branch
+			kind[i+1] |= leader
 		}
-		if ptx.IsExit(in.Opcode) && i+1 < n {
-			leaders[i+1] = true
+		if op.Exit {
+			kind[i] |= exit
+			kind[i+1] |= leader
 		}
 	}
 	// Labels also start blocks: predicated instructions may jump there.
 	for _, idx := range k.Labels {
 		if idx < n {
-			leaders[idx] = true
+			kind[idx] |= leader
 		}
 	}
 
-	g := &Graph{blockOf: make([]int, n)}
-	start := 0
-	for i := 1; i <= n; i++ {
-		if i == n || leaders[i] {
-			g.Blocks = append(g.Blocks, &Block{Start: start, End: i})
-			start = i
+	nb := 0
+	for _, f := range kind[:n] {
+		if f&leader != 0 {
+			nb++
 		}
 	}
-	for bi, b := range g.Blocks {
-		for i := b.Start; i < b.End; i++ {
-			g.blockOf[i] = bi
+	blocks := make([]Block, nb)
+	g := &Graph{Blocks: make([]*Block, nb), blockOf: make([]int, n)}
+	for bi, start, i := 0, 0, 1; i <= n; i++ {
+		if i == n || kind[i]&leader != 0 {
+			blocks[bi] = Block{Start: start, End: i}
+			g.Blocks[bi] = &blocks[bi]
+			for j := start; j < i; j++ {
+				g.blockOf[j] = bi
+			}
+			bi, start = bi+1, i
 		}
 	}
 	// Successors.
 	for bi, b := range g.Blocks {
-		last := k.Body[b.End-1]
-		switch {
-		case ptx.IsExit(last.Opcode) && last.Pred == "":
+		last := &k.Body[b.End-1]
+		switch f := kind[b.End-1]; {
+		case f&exit != 0 && last.Pred == "":
 			// no successors
-		case ptx.IsBranch(last.Opcode):
+		case f&branch != 0:
 			tgt, err := k.Target(last.Operands[0])
 			if err != nil {
 				return nil, fmt.Errorf("cfg: %w", err)
