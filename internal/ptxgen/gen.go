@@ -2,6 +2,7 @@ package ptxgen
 
 import (
 	"fmt"
+	"strconv"
 
 	"cnnperf/internal/cnn"
 	"cnnperf/internal/ptx"
@@ -151,7 +152,7 @@ func (g *generator) newEmitter(node *cnn.Node, suffix string) *emitter {
 // kernelName mints a unique fusion-style kernel name for a node.
 func (g *generator) kernelName(node *cnn.Node, suffix string) string {
 	g.kernels++
-	name := fmt.Sprintf("fusion_%d_%s", g.kernels, node.Op.Kind())
+	name := "fusion_" + strconv.Itoa(g.kernels) + "_" + node.Op.Kind()
 	if suffix != "" {
 		name += "_" + suffix
 	}
