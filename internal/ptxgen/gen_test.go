@@ -1,6 +1,7 @@
 package ptxgen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -420,5 +421,29 @@ func TestGroupNormFusion(t *testing.T) {
 	}
 	if err := fused.Module.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEmittedOperandsDoNotAlias checks the operand arrays the emitter
+// carves instructions from: appending to one instruction's operands
+// never reaches the next one's, an operand-less instruction keeps nil
+// operands, and a kernel with more operands than one array holds keeps
+// every operand.
+func TestEmittedOperandsDoNotAlias(t *testing.T) {
+	e := newEmitter("k")
+	const n = opsChunk // three operands each: past the first array
+	for i := 0; i < n; i++ {
+		e.emit("add.s32", e.r(), imm(int64(i)), "1")
+	}
+	e.emit("ret")
+	body := e.finish().Body
+	body[0].Operands = append(body[0].Operands, "%r0")
+	for i := 1; i < n; i++ {
+		if want := []string{rRegs.name(i + 1), imm(int64(i)), "1"}; !slices.Equal(body[i].Operands, want) {
+			t.Fatalf("instruction %d: operands %q, want %q", i, body[i].Operands, want)
+		}
+	}
+	if body[n].Operands != nil {
+		t.Errorf("ret emitted with operands %q", body[n].Operands)
 	}
 }
