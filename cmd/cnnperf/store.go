@@ -18,7 +18,8 @@ import (
 //	cnnperf store export -dir DIR -out FILE          pack a store into one snapshot file
 //	cnnperf store import -dir DIR -in FILE           unpack a snapshot into a store
 //	cnnperf store verify [-dir DIR] [-in FILE]       check every record's integrity
-//	cnnperf store gc     -dir DIR                    remove quarantined and stale temp files
+//	cnnperf store gc     -dir DIR                    compact each namespace log, remove torn
+//	                                                 tails, the old layout's shard directories
 //	                                                 and namespaces without a codec
 //
 // export, import and gc keep only the namespaces core.NewArtifactTier
@@ -56,6 +57,7 @@ func openTier(dir string) (*artifactstore.Store, *artifactstore.Tier, error) {
 	}
 	tier, err := core.NewArtifactTier(store)
 	if err != nil {
+		store.Close()
 		return nil, nil, err
 	}
 	return store, tier, nil
@@ -73,7 +75,7 @@ func codecNamespaces() ([]string, error) {
 // runStoreWarm computes the artifacts cnnperfd needs at boot — the
 // leave-one-out estimators and per-model analyses — with the disk tier
 // attached, so everything writes through into the store.
-func runStoreWarm(ctx context.Context, args []string, cfg cnnperf.Config) error {
+func runStoreWarm(ctx context.Context, args []string, cfg cnnperf.Config) (err error) {
 	fs := flag.NewFlagSet("store warm", flag.ContinueOnError)
 	dir := fs.String("dir", "", "artifact store directory (required)")
 	models := fs.String("models", "", "comma-separated zoo models to warm (default: full-zoo estimator only)")
@@ -88,6 +90,11 @@ func runStoreWarm(ctx context.Context, args []string, cfg cnnperf.Config) error 
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	tier.SetBaseContext(ctx)
 	cache := cnnperf.NewAnalysisCache(0)
 	cache.SetSecondTier(tier)
@@ -145,6 +152,7 @@ func runStoreExport(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	defer store.Close()
 	namespaces, err := codecNamespaces()
 	if err != nil {
 		return err
@@ -165,7 +173,7 @@ func runStoreExport(ctx context.Context, args []string) error {
 	return nil
 }
 
-func runStoreImport(ctx context.Context, args []string) error {
+func runStoreImport(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("store import", flag.ContinueOnError)
 	dir := fs.String("dir", "", "artifact store directory (required)")
 	in := fs.String("in", "", "snapshot file to import (required)")
@@ -179,6 +187,11 @@ func runStoreImport(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	namespaces, err := codecNamespaces()
 	if err != nil {
 		return err
@@ -211,6 +224,7 @@ func runStoreVerify(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
+		defer store.Close()
 		res, err := store.Verify(ctx)
 		if err != nil {
 			return err
@@ -249,6 +263,7 @@ func runStoreGC(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	defer store.Close()
 	namespaces, err := codecNamespaces()
 	if err != nil {
 		return err
@@ -257,7 +272,7 @@ func runStoreGC(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("store %s: removed %d quarantined/temp files and %d namespace(s) without a codec",
+	fmt.Printf("store %s: removed %d stale records and files and %d namespace(s) without a codec",
 		*dir, res.Removed, len(res.Namespaces))
 	if len(res.Namespaces) > 0 {
 		fmt.Printf(": %s", strings.Join(res.Namespaces, ", "))

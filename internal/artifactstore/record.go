@@ -8,9 +8,9 @@ import (
 	"io"
 )
 
-// The on-disk record framing. Every artifact — whether it lives as one
-// file in the sharded store layout or as one entry of a snapshot
-// stream — is a self-delimiting, CRC-guarded record:
+// The on-disk record framing. Every artifact — whether it lives in a
+// namespace's log or in a snapshot stream — is a self-delimiting,
+// CRC-guarded record:
 //
 //	magic      [4]byte  "CPAR"
 //	version    uint16   recordVersion (big endian, like all integers)
@@ -23,9 +23,10 @@ import (
 //	crc        uint32   CRC-32 (IEEE) of everything above
 //
 // The namespace and full cache key are stored inside the record, not
-// only in the file path, so a read can verify it got the artifact it
-// asked for: a hash collision, a renamed file or a tampered record all
-// fail the key check or the CRC and are treated as corruption.
+// only in the log it sits in or the index that points at it, so a read
+// can verify it got the artifact it asked for: a hash collision, a
+// record in the wrong log or a tampered record all fail the identity
+// check or the CRC and are treated as corruption.
 
 const (
 	recordVersion = 1
@@ -65,53 +66,56 @@ func encodeRecord(ns, key string, payload []byte) ([]byte, error) {
 }
 
 // decodeRecord parses and verifies one framed artifact held entirely in
-// b. Trailing bytes after the record are rejected (a store file holds
-// exactly one record).
+// b. Trailing bytes after the record are rejected.
 func decodeRecord(b []byte) (ns, key string, payload []byte, err error) {
-	ns, key, payload, n, err := decodeRecordPrefix(b)
+	nsb, keyb, p, err := splitRecord(b)
 	if err != nil {
 		return "", "", nil, err
 	}
-	if n != len(b) {
-		return "", "", nil, fmt.Errorf("artifactstore: %d trailing bytes after record", len(b)-n)
-	}
-	return ns, key, payload, nil
+	return string(nsb), string(keyb), append([]byte(nil), p...), nil
 }
 
-// decodeRecordPrefix parses one record from the front of b, returning
-// how many bytes it consumed.
-func decodeRecordPrefix(b []byte) (ns, key string, payload []byte, n int, err error) {
-	if len(b) < recordHeader {
-		return "", "", nil, 0, fmt.Errorf("artifactstore: truncated record header (%d bytes)", len(b))
+// frameLen checks the header at the front of head and returns the length
+// of the whole record it starts.
+func frameLen(head []byte) (int, error) {
+	if len(head) < recordHeader {
+		return 0, fmt.Errorf("artifactstore: truncated record header (%d bytes)", len(head))
 	}
-	if [4]byte(b[:4]) != recordMagic {
-		return "", "", nil, 0, fmt.Errorf("artifactstore: bad record magic %q", b[:4])
+	if [4]byte(head[:4]) != recordMagic {
+		return 0, fmt.Errorf("artifactstore: bad record magic %q", head[:4])
 	}
-	if v := binary.BigEndian.Uint16(b[4:6]); v != recordVersion {
-		return "", "", nil, 0, fmt.Errorf("artifactstore: unsupported record version %d (want %d)", v, recordVersion)
+	if v := binary.BigEndian.Uint16(head[4:6]); v != recordVersion {
+		return 0, fmt.Errorf("artifactstore: unsupported record version %d (want %d)", v, recordVersion)
 	}
-	nsLen := int(binary.BigEndian.Uint16(b[6:8]))
-	keyLen := int(binary.BigEndian.Uint32(b[8:12]))
-	payloadLen := int(binary.BigEndian.Uint32(b[12:16]))
+	nsLen := int(binary.BigEndian.Uint16(head[6:8]))
+	keyLen := int(binary.BigEndian.Uint32(head[8:12]))
+	payloadLen := int(binary.BigEndian.Uint32(head[12:16]))
 	if nsLen == 0 || nsLen > maxNamespaceLen || keyLen == 0 || keyLen > maxKeyLen || payloadLen > maxPayloadLen {
-		return "", "", nil, 0, fmt.Errorf("artifactstore: implausible record lengths ns=%d key=%d payload=%d", nsLen, keyLen, payloadLen)
+		return 0, fmt.Errorf("artifactstore: implausible record lengths ns=%d key=%d payload=%d", nsLen, keyLen, payloadLen)
 	}
-	total := recordHeader + nsLen + keyLen + payloadLen + 4
+	return recordHeader + nsLen + keyLen + payloadLen + 4, nil
+}
+
+// splitRecord verifies the one record b holds and returns its fields as
+// slices of b.
+func splitRecord(b []byte) (ns, key, payload []byte, err error) {
+	total, err := frameLen(b)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	if len(b) < total {
-		return "", "", nil, 0, fmt.Errorf("artifactstore: truncated record: have %d of %d bytes", len(b), total)
+		return nil, nil, nil, fmt.Errorf("artifactstore: truncated record: have %d of %d bytes", len(b), total)
 	}
-	body := b[:total-4]
-	want := binary.BigEndian.Uint32(b[total-4 : total])
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return "", "", nil, 0, fmt.Errorf("artifactstore: record CRC mismatch: computed %08x, stored %08x", got, want)
+	if len(b) > total {
+		return nil, nil, nil, fmt.Errorf("artifactstore: %d trailing bytes after record", len(b)-total)
 	}
-	off := recordHeader
-	ns = string(b[off : off+nsLen])
-	off += nsLen
-	key = string(b[off : off+keyLen])
-	off += keyLen
-	payload = append([]byte(nil), b[off:off+payloadLen]...)
-	return ns, key, payload, total, nil
+	want := binary.BigEndian.Uint32(b[total-4:])
+	if got := crc32.ChecksumIEEE(b[:total-4]); got != want {
+		return nil, nil, nil, fmt.Errorf("artifactstore: record CRC mismatch: computed %08x, stored %08x", got, want)
+	}
+	nsEnd := recordHeader + int(binary.BigEndian.Uint16(b[6:8]))
+	keyEnd := nsEnd + int(binary.BigEndian.Uint32(b[8:12]))
+	return b[recordHeader:nsEnd], b[nsEnd:keyEnd], b[keyEnd : total-4 : total-4], nil
 }
 
 // readRecord reads one framed artifact from a stream. io.EOF is
@@ -128,20 +132,15 @@ func readRecord(r *bufio.Reader) (ns, key string, payload []byte, raw []byte, er
 	if _, err := io.ReadFull(r, head[1:]); err != nil {
 		return "", "", nil, nil, fmt.Errorf("artifactstore: truncated record header: %w", err)
 	}
-	if [4]byte(head[:4]) != recordMagic {
-		return "", "", nil, nil, fmt.Errorf("artifactstore: bad record magic %q", head[:4])
+	total, err := frameLen(head)
+	if err != nil {
+		return "", "", nil, nil, err
 	}
-	nsLen := int(binary.BigEndian.Uint16(head[6:8]))
-	keyLen := int(binary.BigEndian.Uint32(head[8:12]))
-	payloadLen := int(binary.BigEndian.Uint32(head[12:16]))
-	if nsLen == 0 || nsLen > maxNamespaceLen || keyLen == 0 || keyLen > maxKeyLen || payloadLen > maxPayloadLen {
-		return "", "", nil, nil, fmt.Errorf("artifactstore: implausible record lengths ns=%d key=%d payload=%d", nsLen, keyLen, payloadLen)
-	}
-	rest := make([]byte, nsLen+keyLen+payloadLen+4)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	raw = make([]byte, total)
+	copy(raw, head)
+	if _, err := io.ReadFull(r, raw[recordHeader:]); err != nil {
 		return "", "", nil, nil, fmt.Errorf("artifactstore: truncated record body: %w", err)
 	}
-	raw = append(head, rest...)
 	ns, key, payload, err = decodeRecord(raw)
 	if err != nil {
 		return "", "", nil, nil, err

@@ -3,17 +3,17 @@ package artifactstore
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"cnnperf/internal/obs"
 )
 
 // A snapshot is the whole store as one file: a header, a stream of the
-// same self-delimiting records the store keeps on disk, and a trailer
+// same self-delimiting records the store's logs hold, and a trailer
 // carrying a record count and a running CRC so truncation at any point
 // is detected.
 //
@@ -21,9 +21,10 @@ import (
 //	records: zero or more framed records (see record.go)
 //	trailer: "CPST" + count uint64 + crc uint32 over all record bytes
 //
-// Export writes records in deterministic order (sorted namespaces, then
-// sorted content hashes), so exporting the same store twice yields
-// byte-identical snapshots.
+// Export writes the live records in deterministic order (sorted
+// namespaces, then sorted SHA-256 of the key), so two stores holding the
+// same records export byte-identical snapshots, whatever order the
+// records were written in.
 
 const snapshotVersion = 1
 
@@ -44,36 +45,36 @@ func (s *Store) Export(ctx context.Context, w io.Writer, namespaces ...string) (
 	if _, err := bw.Write(head); err != nil {
 		return 0, fmt.Errorf("artifactstore: %w", err)
 	}
-	crc := crc32.NewIEEE()
-	count := uint64(0)
-	err := s.walkRecords(namespaces, func(ns, path string) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("artifactstore: %w", err)
-		}
-		// A corrupt record must not poison the snapshot: verify before
-		// including, quarantine on failure, like Get.
-		gotNS, _, _, derr := decodeRecord(b)
-		if derr == nil && gotNS != ns {
-			derr = fmt.Errorf("artifactstore: namespace mismatch")
-		}
-		if derr != nil {
-			s.quarantine(path)
-			s.corrupt.Add(1)
-			return nil
-		}
-		if _, err := bw.Write(b); err != nil {
-			return fmt.Errorf("artifactstore: %w", err)
-		}
-		crc.Write(b)
-		count++
-		return nil
-	})
+	nss, err := s.namespaces(namespaces)
 	if err != nil {
 		return 0, err
+	}
+	crc := crc32.NewIEEE()
+	count := uint64(0)
+	write := func(_ [sha256.Size]byte, rec []byte) error {
+		if _, err := bw.Write(rec); err != nil {
+			return fmt.Errorf("artifactstore: %w", err)
+		}
+		crc.Write(rec)
+		count++
+		return nil
+	}
+	for _, ns := range nss {
+		l, err := s.log(ns)
+		if err != nil {
+			return 0, err
+		}
+		// records verifies each record before it is written: a corrupt
+		// one must not poison the snapshot.
+		l.mu.Lock()
+		_, err = l.sync(s)
+		if err == nil {
+			err = l.records(ctx, s, write)
+		}
+		l.mu.Unlock()
+		if err != nil {
+			return 0, err
+		}
 	}
 	tail := make([]byte, 0, 16)
 	tail = append(tail, trailerMagic[:]...)

@@ -196,8 +196,12 @@ func NewWithStore(cfg Config) (*Server, error) {
 	tier, err := core.NewArtifactTier(store)
 	if err != nil {
 		s.Close()
+		if store != nil {
+			store.Close()
+		}
 		return nil, fmt.Errorf("server: building artifact tier: %w", err)
 	}
+	s.tier = tier
 	tier.SetBaseContext(s.baseCtx)
 	if cfg.SnapshotFile != "" {
 		n, err := tier.LoadSnapshotFile(cfg.SnapshotFile)
@@ -208,7 +212,6 @@ func NewWithStore(cfg Config) (*Server, error) {
 		s.cfg.Logger.Info("snapshot loaded",
 			obs.String("file", cfg.SnapshotFile), obs.Int("records", n))
 	}
-	s.tier = tier
 	s.cache.SetSecondTier(tier)
 	s.metrics.registerStore(tier)
 	return s, nil
@@ -238,11 +241,17 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 // in-flight request has completed or ctx expires.
 func (s *Server) Drain(ctx context.Context) error { return s.front.Drain(ctx) }
 
-// Close releases the worker pool and cancels any in-flight analysis.
-// Call after Drain; requests arriving later are rejected by the gate.
+// Close releases the worker pool and the artifact store and cancels
+// any in-flight analysis. Call after Drain; requests arriving later are
+// rejected by the gate.
 func (s *Server) Close() {
 	s.baseCancel()
 	s.pool.Close()
+	if s.tier != nil && s.tier.Store() != nil {
+		// Every write went out with its Put; a late write-through after
+		// this fails and is dropped like any other failed Put.
+		_ = s.tier.Store().Close()
+	}
 }
 
 // classify labels a request by endpoint; the flight recorder traces
