@@ -350,7 +350,7 @@ var StaticFeatureNames = core.StaticFeatureNames
 // BBFeatureNames are the per-basic-block predictors — abstract-
 // interpretation block features (divergence, coalescing, stride, live
 // registers) weighted by the DCA's per-block execution counts — that
-// Config.BBFeatures appends to whichever base schema is selected.
+// Config.BBFeatures adds to the schema, after every other block.
 var BBFeatureNames = core.BBFeatureNames
 
 // Diag is one static-analysis lint finding (code PTXA001-PTXA014).

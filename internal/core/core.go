@@ -34,42 +34,9 @@ import (
 	"cnnperf/internal/profiler"
 	"cnnperf/internal/ptx"
 	"cnnperf/internal/ptxanalysis"
-	"cnnperf/internal/ptxanalysis/absint"
 	"cnnperf/internal/ptxgen"
 	"cnnperf/internal/zoo"
 )
-
-// FeatureNames is the dataset schema: the two CNN predictors followed by
-// the GPU architectural predictors.
-var FeatureNames = append([]string{"executed_instructions", "trainable_params"}, gpu.FeatureNames...)
-
-// ExtendedFeatureNames additionally includes the FLOP and MAC counts the
-// paper's future work proposes as extra CNN complexity predictors.
-var ExtendedFeatureNames = append(append([]string{}, FeatureNames...), "flops", "macs")
-
-// StaticFeatureNames is the base schema plus the static-analysis
-// predictors of internal/ptxanalysis (register pressure, loop nesting,
-// instruction mix, coalescing estimate).
-var StaticFeatureNames = append(append([]string{}, FeatureNames...), ptxanalysis.FeatureNames...)
-
-// FullFeatureNames combines the extended and static predictor sets.
-var FullFeatureNames = append(append([]string{}, ExtendedFeatureNames...), ptxanalysis.FeatureNames...)
-
-// BBFeatureNames are the per-basic-block predictors: static block
-// features of the abstract interpreter (divergence class, coalescing
-// class, stride, live registers) joined with the dynamic per-block
-// execution counts of the DCA and aggregated execution-weighted over
-// the whole model. Appended to any base schema by Config.BBFeatures;
-// its length keeps every schema-width combination pairwise distinct.
-var BBFeatureNames = []string{
-	"bb_count",
-	"bb_exec_divergent_frac",
-	"bb_exec_uniform_branch_frac",
-	"bb_exec_coalesced_frac",
-	"bb_exec_uncoalesced_frac",
-	"bb_mean_stride_bytes",
-	"bb_mean_live_regs",
-}
 
 // Config collects the knobs of the whole pipeline.
 type Config struct {
@@ -89,11 +56,12 @@ type Config struct {
 	// StaticFeatures adds the ptxanalysis predictors to the schema, so
 	// experiments can A/B the base vector against the static-augmented one.
 	StaticFeatures bool
-	// BBFeatures appends the BBFeatureNames predictors: the DCA records
-	// per-basic-block execution counts (dca.Options.BlockCounts) and the
-	// per-block static features are aggregated execution-weighted. Off
-	// by default; with it off the pipeline output is byte-identical to
-	// the seed (the determinism harness enforces it).
+	// BBFeatures adds the BBFeatureNames predictors to the schema: the
+	// DCA records per-basic-block execution counts
+	// (dca.Options.BlockCounts) and the per-block static features are
+	// aggregated execution-weighted. Off by default; with it off the
+	// pipeline output is byte-identical to the seed (the determinism
+	// harness enforces it).
 	BBFeatures bool
 	// Workers bounds the analysis parallelism: models, regressors and
 	// sweep points fan out over a pool of this many goroutines. Zero or
@@ -152,11 +120,7 @@ type ModelAnalysis struct {
 // AnalyzeCNN runs the static analyzer and dynamic code analysis for one
 // zoo model.
 func AnalyzeCNN(name string, cfg Config) (*ModelAnalysis, error) {
-	m, err := zoo.Build(name)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return AnalyzeModel(m, cfg)
+	return AnalyzeCNNContext(context.Background(), name, cfg)
 }
 
 // AnalyzeModel is AnalyzeCNN over an already-constructed graph (supports
@@ -197,46 +161,43 @@ func AnalyzeModelContext(ctx context.Context, m *cnn.Model, cfg Config) (*ModelA
 		return nil, err
 	}
 
+	return analyzeProgram(ctx, prog, summary, dca.Options{BlockCounts: cfg.BBFeatures}, cfg, start)
+}
+
+// analyzeProgram runs the static pass, then the DCA with opts (its
+// cache and static gate filled in from cfg and the pass), and assembles
+// the analysis of prog, timed from start.
+func analyzeProgram(ctx context.Context, prog *ptxgen.Program, summary cnn.Summary, opts dca.Options, cfg Config, start time.Time) (*ModelAnalysis, error) {
 	// The static pass runs first: the DCA's gate, loop detection and
 	// block-visit collapse read its per-kernel analyses.
 	gate, static, err := staticPass(ctx, prog.Module, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	rep, err := dca.AnalyzeProgramContext(ctx, prog, dca.Options{
-		Cache:       cfg.Cache,
-		BlockCounts: cfg.BBFeatures,
-		Static:      gate,
-	})
+	opts.Cache, opts.Static = cfg.Cache, gate
+	rep, err := dca.AnalyzeProgramContext(ctx, prog, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &ModelAnalysis{
-		Name:    m.Name,
-		Summary: summary,
-		Report:  rep,
-		Static:  static,
-		DCATime: time.Since(start),
-	}, nil
+	return &ModelAnalysis{Name: prog.Model, Summary: summary, Report: rep, Static: static, DCATime: time.Since(start)}, nil
 }
 
 // staticPass runs the per-kernel static analysis of a module under the
 // "static.analysis" span: the one analysis pass per kernel that the
 // static features, the lint and the DCA all read. It runs the full
-// level only when a feature schema reads it (cfg.StaticFeatures or
-// cfg.BBFeatures); otherwise only the gate level the DCA reads, and the
-// returned module analysis is nil.
+// level only when cfg's schema holds a block read from it (the static
+// or the BB block); otherwise only the gate level the DCA reads, and
+// the returned module analysis is nil.
 func staticPass(ctx context.Context, m *ptx.Module, cfg Config) (*ptxanalysis.ModuleGate, *ptxanalysis.ModuleAnalysis, error) {
 	sctx, s := obs.Start(ctx, "static.analysis")
 	defer s.End()
 	var gate *ptxanalysis.ModuleGate
 	var static *ptxanalysis.ModuleAnalysis
 	var err error
-	if cfg.StaticFeatures || cfg.BBFeatures {
+	if cfg.schema().fullStatic() {
 		if static, err = ptxanalysis.AnalyzeModuleCachedContext(sctx, m, cfg.Cache); err == nil {
 			gate = static.Gate()
 		}
@@ -247,138 +208,6 @@ func staticPass(ctx context.Context, m *ptx.Module, cfg Config) (*ptxanalysis.Mo
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	return gate, static, err
-}
-
-// Features assembles the predictor vector of this CNN on the given GPU,
-// in FeatureNames order.
-func (a *ModelAnalysis) Features(spec gpu.Spec) []float64 {
-	out := make([]float64, 0, len(FeatureNames))
-	out = append(out, float64(a.Report.Executed), float64(a.Summary.TrainableParams))
-	out = append(out, spec.Features()...)
-	return out
-}
-
-// ExtendedFeatures is Features plus the FLOP and MAC predictors, in
-// ExtendedFeatureNames order.
-func (a *ModelAnalysis) ExtendedFeatures(spec gpu.Spec) []float64 {
-	out := a.Features(spec)
-	return append(out, float64(a.Summary.FLOPs), float64(a.Summary.MACs))
-}
-
-// staticVec returns the ptxanalysis predictor block (zeros when the
-// analysis ran at the gate level only; Estimator.PredictContext rejects
-// that for a schema that reads the block).
-func (a *ModelAnalysis) staticVec() []float64 {
-	if a.Static == nil {
-		return make([]float64, len(ptxanalysis.FeatureNames))
-	}
-	return a.Static.Features()
-}
-
-// StaticFeatures is Features plus the static-analysis predictors, in
-// StaticFeatureNames order.
-func (a *ModelAnalysis) StaticFeatures(spec gpu.Spec) []float64 {
-	return append(a.Features(spec), a.staticVec()...)
-}
-
-// bbVec aggregates the per-basic-block static features of every kernel
-// into the BBFeatureNames vector, weighting each block by its total
-// execution count from the DCA (dca.KernelReport.BlockVisits). A launch
-// without a visit profile — the control slice did not compile to
-// bytecode — falls back to weight 1 per block; a missing analysis
-// yields zeros (deserialised legacy results).
-func (a *ModelAnalysis) bbVec() []float64 {
-	out := make([]float64, len(BBFeatureNames))
-	if a.Static == nil || a.Report == nil {
-		return out
-	}
-	byKernel := make(map[string]*ptxanalysis.KernelAnalysis, len(a.Static.Kernels))
-	var blockCount float64
-	for _, ka := range a.Static.Kernels {
-		byKernel[ka.Kernel] = ka
-		blockCount += float64(len(ka.Blocks))
-	}
-	var wTotal, wDiv, wUni float64
-	var wGlobal, wCoal, wStrided, wKnown, wStrideSum, wLive float64
-	for i := range a.Report.Kernels {
-		kr := &a.Report.Kernels[i]
-		ka := byKernel[kr.Kernel]
-		if ka == nil || len(ka.Blocks) == 0 {
-			continue
-		}
-		for bi := range ka.Blocks {
-			bf := &ka.Blocks[bi]
-			w := 1.0
-			if len(kr.BlockVisits) == len(ka.Blocks) {
-				w = float64(kr.BlockVisits[bi])
-			}
-			wTotal += w
-			switch bf.Branch {
-			case absint.BranchDivergent:
-				wDiv += w
-			case absint.BranchUniform:
-				wUni += w
-			}
-			wGlobal += w * float64(bf.GlobalAccesses)
-			wCoal += w * float64(bf.CoalescedGlobal)
-			wStrided += w * float64(bf.StridedGlobal)
-			wKnown += w * float64(bf.KnownStrideGlobal)
-			wStrideSum += w * float64(bf.SumAbsStrideBytes)
-			wLive += w * float64(bf.LiveIn)
-		}
-	}
-	out[0] = blockCount
-	if wTotal > 0 {
-		out[1] = wDiv / wTotal
-		out[2] = wUni / wTotal
-		out[6] = wLive / wTotal
-	}
-	if wGlobal > 0 {
-		out[3] = wCoal / wGlobal
-		out[4] = wStrided / wGlobal
-	}
-	if wKnown > 0 {
-		out[5] = wStrideSum / wKnown
-	}
-	return out
-}
-
-// featuresFor picks the vector variant matching a schema width. The
-// four base schemas have pairwise-distinct lengths, and appending the
-// BB block keeps all eight combinations pairwise distinct, so the width
-// identifies the variant.
-func (a *ModelAnalysis) featuresFor(spec gpu.Spec, schemaLen int) []float64 {
-	nBB := len(BBFeatureNames)
-	switch schemaLen {
-	case len(FullFeatureNames) + nBB:
-		return append(append(a.ExtendedFeatures(spec), a.staticVec()...), a.bbVec()...)
-	case len(FullFeatureNames):
-		return append(a.ExtendedFeatures(spec), a.staticVec()...)
-	case len(StaticFeatureNames) + nBB:
-		return append(a.StaticFeatures(spec), a.bbVec()...)
-	case len(StaticFeatureNames):
-		return a.StaticFeatures(spec)
-	case len(ExtendedFeatureNames) + nBB:
-		return append(a.ExtendedFeatures(spec), a.bbVec()...)
-	case len(ExtendedFeatureNames):
-		return a.ExtendedFeatures(spec)
-	case len(FeatureNames) + nBB:
-		return append(a.Features(spec), a.bbVec()...)
-	default:
-		return a.Features(spec)
-	}
-}
-
-// readsStatic reports whether featuresFor fills a schema of this width
-// from the full static analysis (the static or the BB block).
-func readsStatic(schemaLen int) bool {
-	nBB := len(BBFeatureNames)
-	switch schemaLen {
-	case len(FullFeatureNames) + nBB, len(FullFeatureNames), len(StaticFeatureNames) + nBB,
-		len(StaticFeatureNames), len(ExtendedFeatureNames) + nBB, len(FeatureNames) + nBB:
-		return true
-	}
-	return false
 }
 
 // BuildDataset runs Phase 1 over the given CNNs and GPUs: each (CNN, GPU)
@@ -421,18 +250,7 @@ func BuildDatasetFromModelsContext(ctx context.Context, models []*cnn.Model, gpu
 	if len(models) == 0 || len(gpus) == 0 {
 		return nil, nil, fmt.Errorf("core: need at least one model and one GPU")
 	}
-	schema := FeatureNames
-	switch {
-	case cfg.ExtendedFeatures && cfg.StaticFeatures:
-		schema = FullFeatureNames
-	case cfg.ExtendedFeatures:
-		schema = ExtendedFeatureNames
-	case cfg.StaticFeatures:
-		schema = StaticFeatureNames
-	}
-	if cfg.BBFeatures {
-		schema = append(append([]string(nil), schema...), BBFeatureNames...)
-	}
+	schema := cfg.schema()
 	// Resolve every GPU and reject duplicate models before spawning any
 	// work, so these errors are deterministic and cheap.
 	specs := make([]gpu.Spec, len(gpus))
@@ -451,12 +269,10 @@ func BuildDatasetFromModelsContext(ctx context.Context, models []*cnn.Model, gpu
 		names[m.Name] = true
 	}
 
-	type modelResult struct {
-		analysis *ModelAnalysis
-		rows     []dataset.Row
-	}
-	results := make([]modelResult, len(models))
-	pcfg := profConfig(cfg)
+	results := make([]*ModelAnalysis, len(models))
+	rows := make([][]dataset.Row, len(models))
+	pcfg := cfg.Prof
+	pcfg.Sim = cfg.Sim
 	ctx, span := obs.Start(ctx, "dataset.build",
 		obs.Int("models", len(models)), obs.Int("gpus", len(gpus)), obs.Int("workers", cfg.workers()))
 	defer span.End()
@@ -467,43 +283,33 @@ func BuildDatasetFromModelsContext(ctx context.Context, models []*cnn.Model, gpu
 			return err
 		}
 		_, profSpan := obs.Start(ctx, "profiler.run", obs.String("model", m.Name))
-		rows := make([]dataset.Row, 0, len(gpus))
+		mrows := make([]dataset.Row, 0, len(gpus))
 		for j, gid := range gpus {
 			prof, err := profiler.RunWithReport(a.Report, specs[j], pcfg)
 			if err != nil {
 				profSpan.End()
 				return err
 			}
-			rows = append(rows, dataset.Row{
+			mrows = append(mrows, dataset.Row{
 				Tag: fmt.Sprintf("%s@%s", m.Name, gid),
-				X:   a.featuresFor(specs[j], len(schema)),
+				X:   schema.vector(a, specs[j]),
 				Y:   prof.IPC,
 			})
 		}
 		profSpan.End()
-		results[i] = modelResult{analysis: a, rows: rows}
+		results[i], rows[i] = a, mrows
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	ds := dataset.New(schema)
+	ds := dataset.New(schema.names())
 	analyses := make(map[string]*ModelAnalysis, len(models))
 	for i, m := range models {
-		analyses[m.Name] = results[i].analysis
-		for _, r := range results[i].rows {
-			if err := ds.Append(r.Tag, r.X, r.Y); err != nil {
-				return nil, nil, err
-			}
-		}
+		analyses[m.Name] = results[i]
+		ds.Rows = append(ds.Rows, rows[i]...)
 	}
 	return ds, analyses, nil
-}
-
-func profConfig(cfg Config) profiler.Config {
-	p := cfg.Prof
-	p.Sim = cfg.Sim
-	return p
 }
 
 // DefaultRegressors returns fresh instances of the paper's five
@@ -643,11 +449,15 @@ func (e *Estimator) PredictContext(ctx context.Context, a *ModelAnalysis, spec g
 	if err := spec.Validate(); err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}
-	if a.Static == nil && readsStatic(len(e.Schema)) {
+	schema, err := resolveSchema(e.Schema)
+	if err != nil {
+		return 0, err
+	}
+	if a.Static == nil && schema.fullStatic() {
 		return 0, fmt.Errorf("core: the estimator reads static-analysis features; analyse %s with Config.StaticFeatures or Config.BBFeatures", a.Name)
 	}
 	_, fs := obs.Start(ctx, "features", obs.String("model", a.Name), obs.String("gpu", spec.Name))
-	x := a.featuresFor(spec, len(e.Schema))
+	x := schema.vector(a, spec)
 	fs.End()
 	start := time.Now()
 	_, ps := obs.Start(ctx, "predict",
@@ -655,7 +465,7 @@ func (e *Estimator) PredictContext(ctx context.Context, a *ModelAnalysis, spec g
 	ipc := e.Regressor.Predict(x)
 	ps.End()
 	e.predictTimeNS.Store(int64(time.Since(start)))
-	if ipc <= 0 {
+	if !(ipc > 0) {
 		return 0, fmt.Errorf("core: regressor %s produced non-positive IPC %f", e.Regressor.Name(), ipc)
 	}
 	return ipc, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"cnnperf/internal/gpu"
 	"cnnperf/internal/mlearn"
 	"cnnperf/internal/mlearn/dataset"
+	"cnnperf/internal/ptxanalysis"
 	"cnnperf/internal/zoo"
 )
 
@@ -53,7 +55,7 @@ func TestAnalyzeModelCustomGraph(t *testing.T) {
 		t.Fatalf("analyze custom: %v", err)
 	}
 	spec := gpu.MustLookup("t4")
-	f := a.Features(spec)
+	f := Config{}.schema().vector(a, spec)
 	if len(f) != len(FeatureNames) {
 		t.Fatalf("features = %d, schema = %d", len(f), len(FeatureNames))
 	}
@@ -386,16 +388,6 @@ func TestExtendedFeatures(t *testing.T) {
 }
 
 func TestStaticFeatures(t *testing.T) {
-	// The four schema widths must stay pairwise distinct: featuresFor
-	// dispatches on length.
-	widths := map[int]string{}
-	for _, s := range [][]string{FeatureNames, ExtendedFeatureNames, StaticFeatureNames, FullFeatureNames} {
-		if prev, dup := widths[len(s)]; dup {
-			t.Fatalf("schema width %d used by both %q and %q", len(s), prev, s[len(s)-1])
-		}
-		widths[len(s)] = s[len(s)-1]
-	}
-
 	cfg := fastConfig()
 	cfg.StaticFeatures = true
 	models := []string{"alexnet", "mobilenet", "mobilenetv2"}
@@ -438,25 +430,12 @@ func TestStaticFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds2.FeatureNames) != len(FullFeatureNames) {
-		t.Errorf("full schema width %d, want %d", len(ds2.FeatureNames), len(FullFeatureNames))
+	if got, want := len(ds2.FeatureNames), len(ExtendedFeatureNames)+len(ptxanalysis.FeatureNames); got != want {
+		t.Errorf("full schema width %d, want %d", got, want)
 	}
 }
 
 func TestBBFeatures(t *testing.T) {
-	// All eight schema combinations (4 bases x with/without the BB
-	// block) must keep pairwise-distinct widths: featuresFor dispatches
-	// on length.
-	widths := map[int]bool{}
-	for _, s := range [][]string{FeatureNames, ExtendedFeatureNames, StaticFeatureNames, FullFeatureNames} {
-		for _, n := range []int{len(s), len(s) + len(BBFeatureNames)} {
-			if widths[n] {
-				t.Fatalf("duplicate schema width %d", n)
-			}
-			widths[n] = true
-		}
-	}
-
 	cfg := fastConfig()
 	cfg.BBFeatures = true
 	models := []string{"alexnet", "mobilenet", "mobilenetv2"}
@@ -580,6 +559,26 @@ func TestLoadEstimatorErrors(t *testing.T) {
 	for i, src := range cases {
 		if _, err := LoadEstimator(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d should fail", i)
+		}
+	}
+	// A schema the feature table cannot resolve is refused on decode,
+	// whatever its width, with an error naming the offending feature.
+	saved := savedEstimator(t, Config{})
+	if _, err := LoadEstimator(bytes.NewReader(saved)); err != nil {
+		t.Fatalf("untouched envelope: %v", err)
+	}
+	renamed := append([]string{"bogus"}, FeatureNames[1:]...)
+	for _, c := range []struct {
+		schema []string
+		bad    string
+	}{
+		{[]string{"nonsense"}, "nonsense"},
+		{renamed, "bogus"},
+		{append(append([]string(nil), FeatureNames...), "flops"), "flops"},
+	} {
+		_, err := LoadEstimator(strings.NewReader(withSchema(t, saved, c.schema)))
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.bad)) {
+			t.Errorf("schema %v: err = %v, want one naming %q", c.schema, err, c.bad)
 		}
 	}
 	// The retired version-1 envelope (a bare decision tree) is refused

@@ -44,7 +44,8 @@ func MarshalEstimator(e *Estimator) ([]byte, error) {
 }
 
 // UnmarshalEstimator reconstructs an estimator from a version-2
-// envelope.
+// envelope. A schema the feature table cannot resolve is rejected with
+// an error naming the offending feature.
 func UnmarshalEstimator(b []byte) (*Estimator, error) {
 	var env estimatorEnvelope
 	if err := json.Unmarshal(b, &env); err != nil {
@@ -58,6 +59,9 @@ func UnmarshalEstimator(b []byte) (*Estimator, error) {
 	}
 	if len(env.Schema) == 0 {
 		return nil, fmt.Errorf("core: estimator envelope has an empty schema")
+	}
+	if _, err := resolveSchema(env.Schema); err != nil {
+		return nil, err
 	}
 	reg, err := mlearn.UnmarshalRegressor(env.Model)
 	if err != nil {

@@ -235,26 +235,6 @@ func AnalyzePTXContext(ctx context.Context, src string, opt PTXOptions, cfg Conf
 		})
 	}
 	prog := &ptxgen.Program{Model: opt.name(), Module: m, Launches: launches}
-	gate, static, err := staticPass(ctx, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := dca.AnalyzeProgramContext(ctx, prog, dca.Options{
-		Cache:  cfg.Cache,
-		Exec:   dca.ExecOptions{MaxSteps: opt.MaxSteps},
-		Static: gate,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return &ModelAnalysis{
-		Name:    opt.name(),
-		Summary: cnn.Summary{Name: opt.name(), TrainableParams: opt.TrainableParams},
-		Report:  rep,
-		Static:  static,
-		DCATime: time.Since(start),
-	}, nil
+	summary := cnn.Summary{Name: opt.name(), TrainableParams: opt.TrainableParams}
+	return analyzeProgram(ctx, prog, summary, dca.Options{Exec: dca.ExecOptions{MaxSteps: opt.MaxSteps}}, cfg, start)
 }

@@ -12,6 +12,7 @@ import (
 	"cnnperf/internal/mlearn"
 	"cnnperf/internal/mlearn/dataset"
 	"cnnperf/internal/mlearn/metrics"
+	"cnnperf/internal/ptxanalysis"
 	"cnnperf/internal/ptxgen"
 	"cnnperf/internal/zoo"
 )
@@ -218,7 +219,7 @@ func (s *Suite) StaticFeatureStudy() (base, static []core.Evaluation, text strin
 		fmt.Fprintf(&b, "%-20s %11.2f%% %8.3f %13.2f%% %10.3f\n",
 			e.Name, be.MAPE, be.R2, e.MAPE, e.R2)
 	}
-	fmt.Fprintf(&b, "(static predictors: %s)\n", strings.Join(core.StaticFeatureNames[len(core.FeatureNames):], ", "))
+	fmt.Fprintf(&b, "(static predictors: %s)\n", strings.Join(ptxanalysis.FeatureNames, ", "))
 	return base, static, b.String(), nil
 }
 
