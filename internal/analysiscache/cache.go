@@ -58,8 +58,10 @@ type entry struct {
 	val any
 }
 
+// call is one in-flight computation; its waiters block on done until
+// finish publishes val and err.
 type call struct {
-	done chan struct{}
+	done sync.WaitGroup
 	val  any
 	err  error
 }
@@ -191,11 +193,12 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (v any, hi
 		c.hits.Add(1)
 		c.waits.Add(1)
 		c.mu.Unlock()
-		<-cl.done
+		cl.done.Wait()
 		return cl.val, true, cl.err
 	}
 	c.misses.Add(1)
-	cl := &call{done: make(chan struct{})}
+	cl := &call{}
+	cl.done.Add(1)
 	c.inflight[key] = cl
 	c.mu.Unlock()
 
@@ -220,7 +223,7 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (v any, hi
 // and caches a successful value.
 func (c *Cache) finish(key string, cl *call, v any, err error) {
 	cl.val, cl.err = v, err
-	close(cl.done)
+	cl.done.Done()
 
 	c.mu.Lock()
 	// A Reset during the computation replaces the inflight table; only

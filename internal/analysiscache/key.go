@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding"
 	"encoding/hex"
-	"slices"
+	"hash"
 	"sort"
 	"strconv"
 	"sync"
@@ -46,8 +46,10 @@ func appendCanonical(dst []byte, k *ptx.Kernel) []byte {
 		dst = append(dst, ">;\n"...)
 	}
 	var ordered []int
+	var small [4]ptx.Label // a generated kernel has one or two labels
+	labels := k.AppendLabels(small[:0])
 	for i := range k.Body {
-		dst = appendLabels(dst, k.LabelsAt(i))
+		dst, labels = appendLabels(dst, labels, i)
 		start := len(dst)
 		dst = k.Body[i].AppendTo(dst)
 		if mentionsParam(dst[start:], k.Params) {
@@ -62,7 +64,8 @@ func appendCanonical(dst []byte, k *ptx.Kernel) []byte {
 		}
 		dst = append(dst, '\n')
 	}
-	return appendLabels(dst, k.LabelsAt(len(k.Body)))
+	dst, _ = appendLabels(dst, labels, len(k.Body))
+	return dst
 }
 
 // mentionsParam reports whether some parameter name occurs in line.
@@ -146,17 +149,17 @@ func appendRenamed(dst, line []byte, params []ptx.Param, ordered []int) []byte {
 	return dst
 }
 
-// appendLabels appends one "name:" line per label, sorted by name.
-func appendLabels(dst []byte, labels []string) []byte {
-	if len(labels) > 1 {
-		labels = slices.Clone(labels)
-		slices.Sort(labels)
+// appendLabels appends the labels at body index i of labels, a label
+// table in AppendLabels order whose entries before i are consumed, and
+// returns the table past them. Labels outside the body never print.
+func appendLabels(dst []byte, labels []ptx.Label, i int) ([]byte, []ptx.Label) {
+	for ; len(labels) > 0 && labels[0].Index <= i; labels = labels[1:] {
+		if labels[0].Index == i {
+			dst = append(dst, labels[0].Name...)
+			dst = append(dst, ":\n"...)
+		}
 	}
-	for _, l := range labels {
-		dst = append(dst, l...)
-		dst = append(dst, ":\n"...)
-	}
-	return dst
+	return dst, labels
 }
 
 // Fingerprint is the content address of a kernel: the SHA-256 of its
@@ -174,21 +177,29 @@ func Fingerprint(k *ptx.Kernel) string {
 // key costs only the hashing of its extras. Construct with NewDigest.
 type Digest struct{ state []byte }
 
-// textBufs holds the buffers NewDigest renders canonical text into. The
-// text is length-framed before hashing, so it is rendered whole first.
-var textBufs = sync.Pool{New: func() any { return new([]byte) }}
+// hasher is the scratch state of one digest or key: a SHA-256 and the
+// buffer NewDigest renders canonical text into (the text is
+// length-framed before hashing, so it is rendered whole first) or Key
+// frames extras in. Neither reaches a digest or a key, which copy
+// what they keep.
+type hasher struct {
+	h   hash.Hash
+	buf []byte
+}
+
+var hashers = sync.Pool{New: func() any { return &hasher{h: sha256.New()} }}
 
 // NewDigest renders and hashes the canonical text of k.
 func NewDigest(k *ptx.Kernel) Digest {
-	buf := textBufs.Get().(*[]byte)
-	text := appendCanonical((*buf)[:0], k)
+	hs := hashers.Get().(*hasher)
+	text := appendCanonical(hs.buf[:0], k)
 	framed := appendFrame(text, len(text)) // the frame goes after the text
-	h := sha256.New()
-	h.Write(framed[len(text):])
-	h.Write(text)
-	*buf = framed
-	textBufs.Put(buf)
-	state, _ := h.(encoding.BinaryMarshaler).MarshalBinary() // cannot fail for SHA-256
+	hs.h.Reset()
+	hs.h.Write(framed[len(text):])
+	hs.h.Write(text)
+	state, _ := hs.h.(encoding.BinaryMarshaler).MarshalBinary() // cannot fail for SHA-256
+	hs.buf = framed
+	hashers.Put(hs)
 	return Digest{state: state}
 }
 
@@ -203,18 +214,21 @@ func appendFrame(dst []byte, n int) []byte {
 // values, executor options). Extras are length-framed before hashing so
 // no two distinct extra lists can collide by concatenation.
 func (d Digest) Key(ns string, extras ...string) string {
-	h := sha256.New()
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(d.state); err != nil {
+	hs := hashers.Get().(*hasher)
+	defer hashers.Put(hs)
+	if err := hs.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(d.state); err != nil {
 		panic("analysiscache: key from a zero Digest")
 	}
-	buf := make([]byte, 0, 256)
+	buf := hs.buf[:0]
 	for _, e := range extras {
 		buf = append(appendFrame(buf, len(e)), e...)
 	}
-	h.Write(buf)
+	hs.h.Write(buf)
 	var sum [sha256.Size]byte
 	buf = append(append(buf[:0], ns...), ':')
-	return string(hex.AppendEncode(buf, h.Sum(sum[:0])))
+	buf = hex.AppendEncode(buf, hs.h.Sum(sum[:0]))
+	hs.buf = buf
+	return string(buf)
 }
 
 // KernelKey is NewDigest(k).Key(ns, extras...). Callers deriving more

@@ -198,9 +198,9 @@ func staticPass(ctx context.Context, m *ptx.Module, cfg Config) (*ptxanalysis.Mo
 	var static *ptxanalysis.ModuleAnalysis
 	var err error
 	if cfg.schema().fullStatic() {
-		if static, err = ptxanalysis.AnalyzeModuleCachedContext(sctx, m, cfg.Cache); err == nil {
-			gate = static.Gate()
-		}
+		// The gate carries the bodies this pass decoded to the DCA, which
+		// compiles from them; the kept module analysis holds none.
+		static, gate, err = ptxanalysis.AnalyzeModuleGatedCachedContext(sctx, m, cfg.Cache)
 	} else {
 		gate, err = ptxanalysis.AnalyzeModuleGateCachedContext(sctx, m, cfg.Cache)
 	}

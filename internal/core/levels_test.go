@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cnnperf/internal/analysiscache"
@@ -147,16 +148,39 @@ func TestPredictRunsGateLevel(t *testing.T) {
 	}
 }
 
-// coldAllocLimit bounds TestAnalyzePTXColdAllocs: the measured count of
-// one cold raw-PTX alexnet analysis (2 120 on linux/amd64, Go 1.24)
-// plus 5 %.
-const coldAllocLimit = 2226
+// The cold raw-PTX bounds below are the counts and bytes
+// TestAnalyzePTXColdAllocs and TestAnalyzePTXColdStaticAllocs measure
+// on linux/amd64, Go 1.24, plus 5 %: at the gate level 1 670 allocs and
+// 237 384 bytes, with static features 3 053 allocs and 416 063 bytes.
+const (
+	coldAllocLimit       = 1753
+	coldBytesLimit       = 249253
+	coldStaticAllocLimit = 3205
+	coldStaticBytesLimit = 436866
+)
 
-// TestAnalyzePTXColdAllocs gates the allocations of the cold raw-PTX
-// path: one analysis of the alexnet batch-16 module (19 kernels)
-// against a fresh cache, as BenchmarkAnalyzePTXCold runs it. The cache
-// itself is built inside the measured function.
-func TestAnalyzePTXColdAllocs(t *testing.T) {
+// allocsPerRun is testing.AllocsPerRun also returning the bytes
+// allocated per run.
+func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// coldPTXAllocs measures one analysis of the alexnet batch-16 module
+// (19 kernels) under cfg against a fresh cache, as
+// BenchmarkAnalyzePTXCold runs it, and fails when it allocates more
+// than allocLimit objects or bytesLimit bytes. The cache itself is
+// built inside the measured function.
+func coldPTXAllocs(t *testing.T, cfg Config, allocLimit, bytesLimit int) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -166,13 +190,60 @@ func TestAnalyzePTXColdAllocs(t *testing.T) {
 	}
 	src := ptx.Print(prog.Module)
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := AnalyzePTXContext(ctx, src, PTXOptions{}, Config{Cache: analysiscache.New(0)}); err != nil {
+	allocs, bytes := allocsPerRun(20, func() {
+		cfg := cfg
+		cfg.Cache = analysiscache.New(0)
+		if _, err := AnalyzePTXContext(ctx, src, PTXOptions{}, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("cold raw-PTX alexnet analysis: %.0f allocs", allocs)
-	if allocs > coldAllocLimit {
-		t.Fatalf("cold raw-PTX alexnet analysis: %.0f allocs, want <= %d", allocs, coldAllocLimit)
+	t.Logf("cold raw-PTX alexnet analysis: %.0f allocs, %.0f bytes", allocs, bytes)
+	if allocs > float64(allocLimit) {
+		t.Errorf("cold raw-PTX alexnet analysis: %.0f allocs, want <= %d", allocs, allocLimit)
+	}
+	if bytes > float64(bytesLimit) {
+		t.Errorf("cold raw-PTX alexnet analysis: %.0f bytes, want <= %d", bytes, bytesLimit)
+	}
+}
+
+// TestAnalyzePTXColdAllocs gates the allocations of the cold raw-PTX
+// path at the default, gate-level configuration.
+func TestAnalyzePTXColdAllocs(t *testing.T) {
+	coldPTXAllocs(t, Config{}, coldAllocLimit, coldBytesLimit)
+}
+
+// TestAnalyzePTXColdStaticAllocs gates the cold raw-PTX path with
+// static features, where the static pass runs the full level: the DCA
+// compiles from the bodies that pass decoded, so no body is decoded
+// twice (a second decode of every kernel exceeds the bytes bound).
+func TestAnalyzePTXColdStaticAllocs(t *testing.T) {
+	coldPTXAllocs(t, Config{StaticFeatures: true}, coldStaticAllocLimit, coldStaticBytesLimit)
+}
+
+// TestAnalyzePTXBlockVisits: under BBFeatures a raw-PTX analysis
+// records every launch's block visits, as a zoo-model analysis does,
+// one count per CFG block, and the entry block runs at least once per
+// thread.
+func TestAnalyzePTXBlockVisits(t *testing.T) {
+	prog, err := ptxgen.Compile(zoo.MustBuild("alexnet"), DefaultConfig().PTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := prog.Module
+	cfg := Config{BBFeatures: true, Cache: analysiscache.New(0)}
+	a, err := AnalyzePTXContext(context.Background(), ptx.Print(m), PTXOptions{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Report.Kernels) != len(m.Kernels) {
+		t.Fatalf("%d launches for %d kernels", len(a.Report.Kernels), len(m.Kernels))
+	}
+	for i, kr := range a.Report.Kernels {
+		g := a.Static.Kernels[i].CFG
+		if len(kr.BlockVisits) != len(g.Blocks) {
+			t.Errorf("%s: %d block visit counts for %d blocks", kr.Kernel, len(kr.BlockVisits), len(g.Blocks))
+		} else if kr.BlockVisits[0] < kr.Threads {
+			t.Errorf("%s: entry block visited %d times by %d threads", kr.Kernel, kr.BlockVisits[0], kr.Threads)
+		}
 	}
 }

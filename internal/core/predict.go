@@ -236,5 +236,6 @@ func AnalyzePTXContext(ctx context.Context, src string, opt PTXOptions, cfg Conf
 	}
 	prog := &ptxgen.Program{Model: opt.name(), Module: m, Launches: launches}
 	summary := cnn.Summary{Name: opt.name(), TrainableParams: opt.TrainableParams}
-	return analyzeProgram(ctx, prog, summary, dca.Options{Exec: dca.ExecOptions{MaxSteps: opt.MaxSteps}}, cfg, start)
+	opts := dca.Options{Exec: dca.ExecOptions{MaxSteps: opt.MaxSteps}, BlockCounts: cfg.BBFeatures}
+	return analyzeProgram(ctx, prog, summary, opts, cfg, start)
 }

@@ -2,6 +2,7 @@ package dca
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -81,7 +82,7 @@ const (
 	refNTid
 	refCtaID
 	refNCtaID
-	refBad // unparsable operand: val indexes badNames, errors when read
+	refBad // unparsable operand: val indexes names, errors when read
 )
 
 // ref is one pre-decoded operand.
@@ -95,15 +96,28 @@ type cinst struct {
 	op      copKind
 	cmp     cmpKind
 	predNeg bool
+	back    bool  // copBra: target <= pc (a taken branch counts a loop iteration)
 	pred    int32 // guard predicate slot, -1 when unguarded
 	dst     int32 // destination slot, -1 when none
-	a, b, c ref
 	// target is the branch destination pc for copBra (-1: unresolved
 	// label, errors when taken) and the declared-parameter position for
 	// copLdParam (-1: undeclared name, resolved via name at run time).
 	target int32
-	back   bool   // copBra: target <= pc (a taken branch counts a loop iteration)
-	name   string // copLdParam by-name fallback; copBad/refBad error text
+	loop   int32 // index in loops of the closed-form loop this pc heads, -1 when none
+	// name indexes CompiledKernel.names: the label of an unresolved
+	// copBra, the by-name fallback of copLdParam, the error text of
+	// copBad, the comparison of a cmpBad copSetp.
+	name    int32
+	a, b, c ref
+}
+
+// skipRun is a counted-only stretch [pc, end) of the body, entered at
+// pc: executing it charges its class histogram without interpreting
+// an instruction.
+type skipRun struct {
+	end  int32 // the first interpreted pc after pc, or the body length
+	loop int32 // as cinst.loop, for the pc the run starts at
+	hist [ptx.NumClasses]int32
 }
 
 // affineLoop is a single-block self-loop whose trip count has a closed
@@ -132,30 +146,39 @@ type affineLoop struct {
 // CompiledKernel is one kernel's control slice lowered to register-slot
 // bytecode: opcodes interned to an enum, register names resolved to
 // frame slots, immediates and special registers pre-decoded, branch
-// targets pre-resolved to pc indices, and per-pc classes precomputed.
-// A compiled kernel is immutable and safe for concurrent Execute
-// calls; the analysis cache shares one instance across content-identical
-// kernels (parameters are therefore bound by declaration position, not
-// by name).
+// targets pre-resolved to pc indices, and the class histograms of the
+// counted-only runs precomputed. A compiled kernel is immutable and
+// safe for concurrent Execute calls. The analysis derives one per
+// kernel and call and never caches it (kernelFacts.prepare).
+// Parameters are read by declaration position, as frame.bindParams
+// binds them.
 type CompiledKernel struct {
-	code   []cinst
-	interp []bool // pc is interpreted (in the slice, or Full mode)
-	// nextInterp[pc] is the first interpreted pc >= pc (len(code) when
-	// none): the length of the counted-only run starting at pc.
-	nextInterp []int32
-	class      []ptx.Class
-	// classPrefix[i*NumClasses+c] counts class-c instructions in
-	// body[0:i], so any counted-only run accounts its class histogram
-	// with NumClasses subtractions instead of one increment per pc.
-	classPrefix []int64
-	// loops[pc] is non-nil when pc heads a closed-form countable loop.
-	loops    []*affineLoop
+	// at[pc] locates the entry for pc: code[at[pc]] when pc is
+	// interpreted (in the slice, or Full mode), runs[^at[pc]] when it
+	// is counted only. Counted-only pcs that execution cannot enter —
+	// it enters at pc 0, after an interpreted pc and at the target of
+	// an interpreted branch, and leaves a run at its end — have no run.
+	at    []int32
+	code  []cinst   // the interpreted instructions, in pc order
+	runs  []skipRun // the counted-only runs, located through at
+	class []uint8   // class[pc] is the ptx.Class of pc
+	// loops are the closed-form countable loops, indexed by the loop
+	// field of their header's cinst or skipRun.
+	loops    []affineLoop
 	slots    int
 	full     bool
 	maxSteps int64
-	regNames []string // slot -> register name, for error messages
-	badNames []string // refBad -> original operand text
+	// slotRegs names the frame slots, for error messages: slot s is
+	// register slotRegs[s] of regs, the decoded kernel's register
+	// names, or, for ^i, the operand text names[i].
+	slotRegs []int32
+	regs     []string
+	names    []string // the texts cinst.name and refBad operands index
 }
+
+// noRun marks, in CompiledKernel.at, a counted-only pc that execution
+// never enters.
+const noRun = math.MinInt32
 
 // Compile lowers the kernel's control slice to bytecode under the given
 // executor options (Full and MaxSteps are baked in; cache keys must
@@ -175,38 +198,64 @@ func compile(d *ptx.DecodedKernel, slice *ControlSlice, opts ExecOptions, g *CFG
 	if len(slice.InSlice) != n {
 		return nil, fmt.Errorf("dca: compile: slice covers %d of %d instructions", len(slice.InSlice), n)
 	}
+	ninterp := n
+	if !opts.Full {
+		ninterp = slice.Size
+	}
 	c := &CompiledKernel{
-		code:        make([]cinst, n),
-		interp:      make([]bool, n),
-		nextInterp:  make([]int32, n+1),
-		class:       make([]ptx.Class, n),
-		classPrefix: make([]int64, (n+1)*ptx.NumClasses),
-		loops:       make([]*affineLoop, n),
-		full:        opts.Full,
-		maxSteps:    opts.effectiveMaxSteps(),
-		regNames:    make([]string, 0, d.NumOperandRegs), // one slot per register at most, bar rare spellings
+		at:       make([]int32, n),
+		code:     make([]cinst, 0, ninterp),
+		class:    make([]uint8, n),
+		full:     opts.Full,
+		maxSteps: opts.effectiveMaxSteps(),
+		slotRegs: make([]int32, 0, d.NumOperandRegs), // one slot per register at most, bar rare spellings
+		regs:     d.Regs,
 	}
 	lw := &lowering{c: c, d: d, regSlot: make([]int32, d.NumOperandRegs), params: paramOrder(k.Params)}
+	// Interpreted pcs first: a run's entries include the targets of
+	// the interpreted branches.
 	for pc := range k.Body {
-		info := &d.Insts[pc].Op
-		c.class[pc] = info.Class
-		c.interp[pc] = opts.Full || slice.InSlice[pc]
-		base := pc * ptx.NumClasses
-		copy(c.classPrefix[base+ptx.NumClasses:base+2*ptx.NumClasses], c.classPrefix[base:base+ptx.NumClasses])
-		c.classPrefix[base+ptx.NumClasses+int(info.Class)]++
-		if c.interp[pc] {
-			c.code[pc] = lw.inst(pc)
+		c.class[pc] = uint8(d.Insts[pc].Op.Class)
+		if opts.Full || slice.InSlice[pc] {
+			c.at[pc] = int32(len(c.code))
+			c.code = append(c.code, lw.inst(pc))
+		} else {
+			c.at[pc] = noRun
 		}
 	}
-	next := int32(n)
-	c.nextInterp[n] = next
-	for pc := n - 1; pc >= 0; pc-- {
-		if c.interp[pc] {
-			next = int32(pc)
+	nruns := 0
+	entered := func(pc int) {
+		if pc < n && c.at[pc] == noRun {
+			c.at[pc] = ^int32(0) // a run, numbered below
+			nruns++
 		}
-		c.nextInterp[pc] = next
 	}
-	c.slots = len(c.regNames)
+	entered(0)
+	for pc := range k.Body {
+		if c.at[pc] < 0 {
+			continue
+		}
+		entered(pc + 1)
+		if ci := &c.code[c.at[pc]]; ci.op == copBra && ci.target >= 0 {
+			entered(int(ci.target))
+		}
+	}
+	// Each run ends at the next interpreted pc; its histogram is summed
+	// backwards from there.
+	c.runs = make([]skipRun, 0, nruns)
+	var hist [ptx.NumClasses]int32
+	for end, pc := n, n-1; pc >= 0; pc-- {
+		if c.at[pc] >= 0 {
+			end, hist = pc, [ptx.NumClasses]int32{}
+			continue
+		}
+		hist[c.class[pc]]++
+		if c.at[pc] != noRun {
+			c.at[pc] = ^int32(len(c.runs))
+			c.runs = append(c.runs, skipRun{end: int32(end), loop: -1, hist: hist})
+		}
+	}
+	c.slots = len(c.slotRegs)
 	c.detectLoops(g, loops)
 	return c, nil
 }
@@ -227,10 +276,10 @@ type lowering struct {
 	params []int32
 }
 
-// newSlot allocates the next frame slot, named name in error messages.
-func (lw *lowering) newSlot(name string) int32 {
-	lw.c.regNames = append(lw.c.regNames, name)
-	return int32(len(lw.c.regNames) - 1)
+// newSlot allocates the next frame slot, named as slotRegs says.
+func (lw *lowering) newSlot(reg int32) int32 {
+	lw.c.slotRegs = append(lw.c.slotRegs, reg)
+	return int32(len(lw.c.slotRegs) - 1)
 }
 
 // textSlot returns the slot of the register spelled name: a slot is
@@ -238,13 +287,21 @@ func (lw *lowering) newSlot(name string) int32 {
 // shares the slot of a register spelled the same way. It scans the
 // slots, which only such rare operands reach.
 func (lw *lowering) textSlot(name string) int32 {
-	for s, n := range lw.c.regNames {
-		if n == name {
+	for s := range lw.c.slotRegs {
+		if lw.c.slotName(int32(s)) == name {
 			return int32(s)
 		}
 	}
 	lw.byText = true
-	return lw.newSlot(name)
+	return lw.newSlot(^lw.name(name))
+}
+
+// slotName returns the name of frame slot s.
+func (c *CompiledKernel) slotName(s int32) string {
+	if r := c.slotRegs[s]; r >= 0 {
+		return c.regs[r]
+	}
+	return c.names[^c.slotRegs[s]]
 }
 
 // slot returns the frame slot of register id.
@@ -256,7 +313,7 @@ func (lw *lowering) slot(id int32) int32 {
 	if lw.byText {
 		s = lw.textSlot(lw.d.Regs[id])
 	} else {
-		s = lw.newSlot(lw.d.Regs[id])
+		s = lw.newSlot(id)
 	}
 	lw.regSlot[id] = s + 1
 	return s
@@ -264,7 +321,7 @@ func (lw *lowering) slot(id int32) int32 {
 
 // operand lowers source operand op, decoded as src.
 func (lw *lowering) operand(op string, src *ptx.Src) ref {
-	if len(op) == len(src.Text) {
+	if len(op) == len(strings.TrimSpace(op)) {
 		switch src.Kind {
 		case ptx.SrcImm, ptx.SrcFloat:
 			return ref{kind: refImm, val: src.Imm}
@@ -291,9 +348,13 @@ func (lw *lowering) operand(op string, src *ptx.Src) ref {
 		// Surrounding space: a register spelled with it.
 		return ref{kind: refSlot, val: int64(lw.textSlot(op))}
 	}
-	c := lw.c
-	c.badNames = append(c.badNames, op)
-	return ref{kind: refBad, val: int64(len(c.badNames) - 1)}
+	return ref{kind: refBad, val: int64(lw.name(op))}
+}
+
+// name stores a text for the compiled code to refer to by index.
+func (lw *lowering) name(s string) int32 {
+	lw.c.names = append(lw.c.names, s)
+	return int32(len(lw.c.names) - 1)
 }
 
 // paramOrder returns the positions of params ordered by name, then by
@@ -323,8 +384,8 @@ func (lw *lowering) paramPos(name string) (int32, bool) {
 func (lw *lowering) inst(pc int) cinst {
 	k := lw.d.Kernel
 	in, di := &k.Body[pc], &lw.d.Insts[pc]
-	info := &di.Op
-	ci := cinst{pred: -1, dst: -1, target: -1}
+	info := di.Op
+	ci := cinst{pred: -1, dst: -1, target: -1, loop: -1}
 	if di.Guard >= 0 {
 		ci.pred = lw.slot(di.Guard)
 		ci.predNeg = in.PredNeg
@@ -336,7 +397,7 @@ func (lw *lowering) inst(pc int) cinst {
 				ci.target = int32(tgt)
 				ci.back = tgt <= pc
 			} else {
-				ci.name = in.Operands[0]
+				ci.name = lw.name(in.Operands[0])
 			}
 		}
 		return ci
@@ -356,14 +417,14 @@ func (lw *lowering) inst(pc int) cinst {
 			src = src[1:]
 		}
 	}
-	operand := func(i int) ref { return lw.operand(src[i], &di.Srcs[i]) }
+	srcs := lw.d.Srcs(pc)
+	operand := func(i int) ref { return lw.operand(src[i], &srcs[i]) }
 	// bad returns the lazily-erroring form carrying the reference
 	// interpreter's message for this instruction; the kernel name is
-	// substituted at execution time (compiled code is shared across
-	// content-identical kernels under different names).
+	// substituted at execution time, so the bytecode names no kernel.
 	bad := func(msg string) cinst {
 		ci.op = copBad
-		ci.name = msg
+		ci.name = lw.name(msg)
 		return ci
 	}
 	need := func(want int) bool { return len(src) >= want }
@@ -399,12 +460,11 @@ func (lw *lowering) inst(pc int) cinst {
 			ci.op = copLdParam
 			name := strings.Trim(src[0], "[]")
 			if pos, ok := lw.paramPos(name); ok {
-				// Declared parameters bind by position: the compiled
-				// kernel is shared across content-identical kernels
-				// whose parameter names differ.
+				// Declared parameters bind by position, as
+				// frame.bindParams binds the launch's values.
 				ci.target = pos
 			} else {
-				ci.name = name
+				ci.name = lw.name(name)
 			}
 			return ci
 		}
@@ -430,7 +490,7 @@ func (lw *lowering) inst(pc int) cinst {
 		ci.op = copSetp
 		ci.cmp = cmpKinds[info.Cmp] // cmpBad when unknown: errors when executed
 		if ci.cmp == cmpBad {
-			ci.name = info.Cmp
+			ci.name = lw.name(info.Cmp)
 		}
 		ci.a, ci.b = operand(0), operand(1)
 	case "selp":
@@ -461,9 +521,19 @@ func (c *CompiledKernel) detectLoops(g *CFG, loops []ptxanalysis.Loop) {
 			continue // multi-block loops iterate normally
 		}
 		b := g.Blocks[l.Header]
-		if al := c.analyzeSelfLoop(b.Start, b.End); al != nil {
-			c.loops[b.Start] = al
+		var al affineLoop
+		if !c.analyzeSelfLoop(b.Start, b.End, &al) {
+			continue
 		}
+		// The header is the target of the interpreted back branch, so
+		// execution enters it: it is interpreted or starts a run.
+		i := int32(len(c.loops))
+		if e := c.at[b.Start]; e >= 0 {
+			c.code[e].loop = i
+		} else {
+			c.runs[^e].loop = i
+		}
+		c.loops = append(c.loops, al)
 	}
 }
 
@@ -473,23 +543,28 @@ func (c *CompiledKernel) detectLoops(g *CFG, loops []ptxanalysis.Loop) {
 // (add/sub ind, ind, imm), the exit test (setp cmp p, ind, bound) and
 // the guarded back branch — and that is exactly the shape accepted
 // here; anything else falls back to per-iteration interpretation.
-func (c *CompiledKernel) analyzeSelfLoop(start, end int) *affineLoop {
-	var interp []int32
+func (c *CompiledKernel) analyzeSelfLoop(start, end int, al *affineLoop) bool {
+	var interp [3]int32 // the entries in code of the interpreted pcs
+	ni := 0
 	for pc := start; pc < end; pc++ {
-		if c.interp[pc] {
-			interp = append(interp, int32(pc))
+		if e := c.at[pc]; e >= 0 {
+			if ni == len(interp) {
+				return false
+			}
+			interp[ni] = e
+			ni++
 		}
 	}
-	if len(interp) != 3 || interp[2] != int32(end-1) {
-		return nil
+	if ni != 3 || c.at[end-1] != interp[2] {
+		return false
 	}
-	ad, sp, bra := &c.code[interp[0]], &c.code[interp[1]], &c.code[end-1]
+	ad, sp, bra := &c.code[interp[0]], &c.code[interp[1]], &c.code[interp[2]]
 	if bra.op != copBra || int(bra.target) != start || bra.pred < 0 {
-		return nil
+		return false
 	}
 	// Induction update: unguarded ind = ind +/- constant.
 	if ad.pred != -1 || ad.dst < 0 {
-		return nil
+		return false
 	}
 	var step int64
 	switch {
@@ -498,10 +573,10 @@ func (c *CompiledKernel) analyzeSelfLoop(start, end int) *affineLoop {
 	case ad.op == copSub && ad.a.kind == refSlot && ad.a.val == int64(ad.dst) && ad.b.kind == refImm:
 		step = -ad.b.val
 	default:
-		return nil
+		return false
 	}
 	if step == 0 {
-		return nil
+		return false
 	}
 	ind := ad.dst
 	// Exit test: unguarded setp writing the branch guard, comparing the
@@ -510,13 +585,13 @@ func (c *CompiledKernel) analyzeSelfLoop(start, end int) *affineLoop {
 	// immediate, a special register, or a slot that is neither ind nor
 	// the guard — is invariant across iterations.
 	if sp.op != copSetp || sp.pred != -1 || sp.dst != bra.pred || sp.dst == ind {
-		return nil
+		return false
 	}
 	cmp := sp.cmp
 	bound := sp.b
 	if sp.a.kind != refSlot || sp.a.val != int64(ind) {
 		if sp.b.kind != refSlot || sp.b.val != int64(ind) {
-			return nil
+			return false
 		}
 		// Bound on the left: flip the comparison.
 		bound = sp.a
@@ -532,7 +607,7 @@ func (c *CompiledKernel) analyzeSelfLoop(start, end int) *affineLoop {
 		}
 	}
 	if bound.kind == refBad || (bound.kind == refSlot && (bound.val == int64(ind) || bound.val == int64(sp.dst))) {
-		return nil
+		return false
 	}
 	// A negated guard continues the loop while the comparison fails.
 	if bra.predNeg {
@@ -557,28 +632,26 @@ func (c *CompiledKernel) analyzeSelfLoop(start, end int) *affineLoop {
 	switch cmp {
 	case cmpLT, cmpLE:
 		if step < 0 {
-			return nil
+			return false
 		}
 	case cmpGT, cmpGE:
 		if step > 0 {
-			return nil
+			return false
 		}
 	default:
-		return nil
+		return false
 	}
-	al := &affineLoop{
+	*al = affineLoop{
 		start: int32(start), end: int32(end),
 		ind: ind, pred: sp.dst, step: step, bound: bound, cmp: cmp,
 		predNeg:       bra.predNeg,
 		perIterSteps:  int64(end - start),
 		perIterInterp: 3,
 	}
-	base := start * ptx.NumClasses
-	top := end * ptx.NumClasses
-	for cl := 0; cl < ptx.NumClasses; cl++ {
-		al.hist[cl] = c.classPrefix[top+cl] - c.classPrefix[base+cl]
+	for _, cl := range c.class[start:end] {
+		al.hist[cl]++
 	}
-	return al
+	return true
 }
 
 // trips solves the loop's trip count for the given entry value and

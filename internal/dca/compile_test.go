@@ -54,14 +54,7 @@ func bothEngines(t *testing.T, k *ptx.Kernel, params map[string]int64, ctx Threa
 
 // hasClosedForm reports whether the compiled kernel registered at least
 // one closed-form loop.
-func hasClosedForm(ck *CompiledKernel) bool {
-	for _, al := range ck.loops {
-		if al != nil {
-			return true
-		}
-	}
-	return false
-}
+func hasClosedForm(ck *CompiledKernel) bool { return len(ck.loops) > 0 }
 
 func compileFor(t *testing.T, k *ptx.Kernel, opts ExecOptions) *CompiledKernel {
 	t.Helper()

@@ -357,6 +357,9 @@ func AnalyzeProgramContext(ctx context.Context, prog *ptxgen.Program, opts Optio
 		obs.String("model", prog.Model), obs.Int("launches", len(prog.Launches)))
 	defer span.End()
 	rep := &Report{Model: prog.Model, PerClass: make(map[ptx.Class]int64)}
+	if len(prog.Launches) > 0 {
+		rep.Kernels = make([]KernelReport, 0, len(prog.Launches))
+	}
 	st := opts.Static
 	if st != nil && (len(st.Kernels) != len(prog.Module.Kernels) || len(st.Digests) != len(st.Kernels)) {
 		return nil, fmt.Errorf("dca: static analysis does not cover the program's module")

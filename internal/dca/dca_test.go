@@ -179,8 +179,8 @@ func TestDepGraph(t *testing.T) {
 	// setp (index 2) depends on add (index 1); add depends on mov (0)
 	// and itself... (self-deps are excluded).
 	has := func(i, j int) bool {
-		for _, d := range g.Deps[i] {
-			if d == j {
+		for _, d := range g.Deps(i) {
+			if int(d) == j {
 				return true
 			}
 		}

@@ -44,9 +44,8 @@ func fit[T any](s []T, n int) []T {
 }
 
 // bindParams binds the launch values params to the declared parameters
-// of k by declaration position, so cached compiled kernels work across
-// renamed-but-identical kernels. One binding serves every run of a
-// launch.
+// of k by declaration position, the order in which the compiled code
+// reads them. One binding serves every run of a launch.
 func (fr *frame) bindParams(k *ptx.Kernel, params map[string]int64) {
 	fr.pvals = fit(fr.pvals, len(k.Params))
 	fr.pok = fit(fr.pok, len(k.Params))
@@ -142,13 +141,25 @@ func (t *thread) run() error {
 	engineRuns.Add(1)
 	c, fr := t.c, t.fr
 	fr.reset(c)
-	n := int32(len(c.code))
+	n := int32(len(c.at))
 	pc := int32(0)
 	for pc < n {
 		if t.res.Steps >= c.maxSteps {
 			return stepLimitErr(t.k, c.maxSteps)
 		}
-		if al := c.loops[pc]; al != nil {
+		// pc is interpreted (ci) or starts a counted-only run (run).
+		var ci *cinst
+		var run *skipRun
+		var loop int32
+		if e := c.at[pc]; e >= 0 {
+			ci = &c.code[e]
+			loop = ci.loop
+		} else {
+			run = &c.runs[^e]
+			loop = run.loop
+		}
+		if loop >= 0 {
+			al := &c.loops[loop]
 			switch trips := t.loopTrips(al); trips {
 			case loopHitsLimit:
 				return stepLimitErr(t.k, c.maxSteps)
@@ -161,23 +172,20 @@ func (t *thread) run() error {
 		}
 		// Skip-run: one O(classes) charge for the whole counted-only
 		// stretch.
-		if !c.interp[pc] {
-			q := c.nextInterp[pc]
-			run := int64(q - pc)
-			if t.res.Steps+run > c.maxSteps {
+		if run != nil {
+			q := run.end
+			steps := int64(q - pc)
+			if t.res.Steps+steps > c.maxSteps {
 				return stepLimitErr(t.k, c.maxSteps)
 			}
-			t.res.Steps += run
-			lo := c.classPrefix[int(pc)*ptx.NumClasses:][:ptx.NumClasses]
-			hi := c.classPrefix[int(q)*ptx.NumClasses:][:ptx.NumClasses]
-			for cl := range t.res.PerClass {
-				t.res.PerClass[cl] += hi[cl] - lo[cl]
+			t.res.Steps += steps
+			for cl, v := range &run.hist {
+				t.res.PerClass[cl] += int64(v)
 			}
 			t.countVisits(pc, q, 1)
 			pc = q
 			continue
 		}
-		ci := &c.code[pc]
 		t.res.Steps++
 		t.res.PerClass[c.class[pc]]++
 		t.res.Interpreted++
@@ -185,7 +193,7 @@ func (t *thread) run() error {
 		taken := true
 		if ci.pred >= 0 {
 			if !fr.written[ci.pred] {
-				return fmt.Errorf("dca: kernel %q pc %d: predicate %s undefined", t.k.Name, pc, c.regNames[ci.pred])
+				return fmt.Errorf("dca: kernel %q pc %d: predicate %s undefined", t.k.Name, pc, c.slotName(ci.pred))
 			}
 			taken = fr.regs[ci.pred] != 0
 			if ci.predNeg {
@@ -199,7 +207,7 @@ func (t *thread) run() error {
 				continue
 			}
 			if ci.target < 0 {
-				_, terr := t.k.Target(ci.name)
+				_, terr := t.k.Target(c.names[ci.name])
 				return fmt.Errorf("dca: %w", terr)
 			}
 			if ci.back {
@@ -235,7 +243,9 @@ func (t *thread) countVisits(pc, q int32, n int64) {
 	}
 	if t.trace != nil {
 		for ; n > 0; n-- {
-			*t.trace = append(*t.trace, t.c.class[pc:q]...)
+			for _, cl := range t.c.class[pc:q] {
+				*t.trace = append(*t.trace, ptx.Class(cl))
+			}
 		}
 	}
 }
@@ -290,8 +300,8 @@ func (t *thread) step(ci *cinst, pc int32) error {
 				return fmt.Errorf("dca: kernel %q pc %d: no value for parameter %q", t.k.Name, pc, t.k.Params[ci.target].Name)
 			}
 			v = fr.pvals[ci.target]
-		} else if v, ok = t.params[ci.name]; !ok {
-			return fmt.Errorf("dca: kernel %q pc %d: no value for parameter %q", t.k.Name, pc, ci.name)
+		} else if v, ok = t.params[c.names[ci.name]]; !ok {
+			return fmt.Errorf("dca: kernel %q pc %d: no value for parameter %q", t.k.Name, pc, c.names[ci.name])
 		}
 	case copLdData:
 		if !c.full {
@@ -330,7 +340,7 @@ func (t *thread) step(ci *cinst, pc int32) error {
 			return c.evalErr(t.k, ci.b)
 		}
 		var err error
-		if v, err = setp(t.k, pc, ci, a, b); err != nil {
+		if v, err = c.setp(t.k, pc, ci, a, b); err != nil {
 			return err
 		}
 	case copSelp:
@@ -351,7 +361,7 @@ func (t *thread) step(ci *cinst, pc int32) error {
 	case copSfu:
 		v = 0
 	default: // copBad
-		return errors.New(strings.Replace(ci.name, kernelPlaceholder, strconv.Quote(t.k.Name), 1))
+		return errors.New(strings.Replace(c.names[ci.name], kernelPlaceholder, strconv.Quote(t.k.Name), 1))
 	}
 	fr.regs[ci.dst], fr.written[ci.dst] = v, true
 	return nil
@@ -401,7 +411,7 @@ func binop(k *ptx.Kernel, pc int32, op copKind, a, b int64) (int64, error) {
 
 // setp evaluates one comparison with the reference interpreter's exact
 // unknown-comparison error text.
-func setp(k *ptx.Kernel, pc int32, ci *cinst, a, b int64) (int64, error) {
+func (c *CompiledKernel) setp(k *ptx.Kernel, pc int32, ci *cinst, a, b int64) (int64, error) {
 	var r bool
 	switch ci.cmp {
 	case cmpLT:
@@ -417,7 +427,7 @@ func setp(k *ptx.Kernel, pc int32, ci *cinst, a, b int64) (int64, error) {
 	case cmpNE:
 		r = a != b
 	default:
-		return 0, fmt.Errorf("dca: kernel %q pc %d: unknown comparison %q", k.Name, pc, ci.name)
+		return 0, fmt.Errorf("dca: kernel %q pc %d: unknown comparison %q", k.Name, pc, c.names[ci.name])
 	}
 	if r {
 		return 1, nil
@@ -479,9 +489,9 @@ func (t *thread) applyLoop(al *affineLoop, n int64) {
 func (c *CompiledKernel) evalErr(k *ptx.Kernel, r ref) error {
 	switch r.kind {
 	case refSlot:
-		return fmt.Errorf("dca: register %s read before write", c.regNames[r.val])
+		return fmt.Errorf("dca: register %s read before write", c.slotName(int32(r.val)))
 	case refBad:
-		op := c.badNames[r.val]
+		op := c.names[r.val]
 		if strings.HasPrefix(op, "0f") || strings.HasPrefix(op, "0F") {
 			return fmt.Errorf("dca: bad float immediate %q", op)
 		}

@@ -2,6 +2,7 @@ package dca
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"cnnperf/internal/ptx"
@@ -15,8 +16,8 @@ func checkGraphsMatchReference(t *testing.T, what string, k *ptx.Kernel) {
 	t.Helper()
 	d := ptx.DecodeKernel(k)
 	got, want := buildDepGraph(d), refBuildDepGraph(k)
-	if !reflect.DeepEqual(got.Deps, want.Deps) {
-		t.Fatalf("%s: decoded dependency graph %v, reference %v", what, got.Deps, want.Deps)
+	if !slices.Equal(got.off, want.off) || !slices.Equal(got.deps, want.deps) {
+		t.Fatalf("%s: decoded dependency graph %v %v, reference %v %v", what, got.off, got.deps, want.off, want.deps)
 	}
 	gs, ws := buildControlSlice(d, got), refBuildControlSlice(k, want)
 	if !reflect.DeepEqual(gs.InSlice, ws.InSlice) || gs.Size != ws.Size {

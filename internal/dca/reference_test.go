@@ -38,8 +38,7 @@ func refBuildDepGraph(k *ptx.Kernel) *DepGraph {
 			tail = append(tail, int32(i))
 		}
 	}
-	var all []int
-	end := make([]int, n)
+	g := &DepGraph{off: make([]int32, n+1)}
 	seen := make([]int, n)
 	for i := range k.Body {
 		in := &k.Body[i]
@@ -56,19 +55,11 @@ func refBuildDepGraph(k *ptx.Kernel) *DepGraph {
 			for d := head[id]; d >= 0; d = next[d] {
 				if int(d) != i && seen[d] != i+1 {
 					seen[d] = i + 1
-					all = append(all, int(d))
+					g.deps = append(g.deps, d)
 				}
 			}
 		}
-		end[i] = len(all)
-	}
-	g := &DepGraph{Deps: make([][]int, n)}
-	from := 0
-	for i, e := range end {
-		if e > from {
-			g.Deps[i] = all[from:e:e]
-		}
-		from = e
+		g.off[i+1] = int32(len(g.deps))
 	}
 	return g
 }
@@ -94,8 +85,8 @@ func refBuildControlSlice(k *ptx.Kernel, g *DepGraph) *ControlSlice {
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, d := range g.Deps[i] {
-			mark(d)
+		for _, d := range g.Deps(i) {
+			mark(int(d))
 		}
 	}
 	return s

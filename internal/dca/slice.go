@@ -34,22 +34,22 @@ func BuildControlSlice(k *ptx.Kernel, g *DepGraph) *ControlSlice {
 func buildControlSlice(d *ptx.DecodedKernel, g *DepGraph) *ControlSlice {
 	n := len(d.Insts)
 	s := &ControlSlice{InSlice: make([]bool, n)}
-	stack := make([]int, 0, n) // each instruction is pushed at most once
-	mark := func(i int) {
+	stack := make([]int32, 0, n) // each instruction is pushed at most once
+	mark := func(i int32) {
 		if !s.InSlice[i] {
 			s.InSlice[i] = true
 			stack = append(stack, i)
 		}
 	}
 	for i := range d.Insts {
-		if op := &d.Insts[i].Op; op.Branch || op.Exit {
-			mark(i)
+		if op := d.Insts[i].Op; op.Branch || op.Exit {
+			mark(int32(i))
 		}
 	}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, j := range g.Deps[i] {
+		for _, j := range g.Deps(int(i)) {
 			mark(j)
 		}
 	}

@@ -27,11 +27,11 @@ type Graph struct {
 	// Blocks are the basic blocks in ascending Start order.
 	Blocks []*Block
 	// blockOf maps an instruction index to its block index.
-	blockOf []int
+	blockOf []int32
 }
 
 // BlockOf returns the block index containing instruction idx.
-func (g *Graph) BlockOf(idx int) int { return g.blockOf[idx] }
+func (g *Graph) BlockOf(idx int) int { return int(g.blockOf[idx]) }
 
 // Flags of one instruction in Build's kind table.
 const (
@@ -89,13 +89,13 @@ func Build(k *ptx.Kernel) (*Graph, error) {
 		}
 	}
 	blocks := make([]Block, nb)
-	g := &Graph{Blocks: make([]*Block, nb), blockOf: make([]int, n)}
+	g := &Graph{Blocks: make([]*Block, nb), blockOf: make([]int32, n)}
 	for bi, start, i := 0, 0, 1; i <= n; i++ {
 		if i == n || kind[i]&leader != 0 {
 			blocks[bi] = Block{Start: start, End: i}
 			g.Blocks[bi] = &blocks[bi]
 			for j := start; j < i; j++ {
-				g.blockOf[j] = bi
+				g.blockOf[j] = int32(bi)
 			}
 			bi, start = bi+1, i
 		}
@@ -112,7 +112,7 @@ func Build(k *ptx.Kernel) (*Graph, error) {
 				return nil, fmt.Errorf("cfg: %w", err)
 			}
 			if tgt < n {
-				b.Succs = append(b.Succs, g.blockOf[tgt])
+				b.Succs = append(b.Succs, int(g.blockOf[tgt]))
 			}
 			if last.Pred != "" && b.End < n {
 				// Conditional branch falls through too.

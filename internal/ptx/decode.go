@@ -36,9 +36,10 @@ type OpInfo struct {
 // copies the snapshot under opInfoMu. Raw PTX may put any suffix on a
 // known root, so inserts stop once the table holds maxCachedOpcodes
 // spellings, and keys are cloned: an opcode sliced out of a request
-// body must not pin the body.
+// body must not pin the body. Entries are pointers, so a decoded body
+// refers to its opcodes' records instead of copying them.
 var (
-	opInfos  atomic.Pointer[map[string]OpInfo]
+	opInfos  atomic.Pointer[map[string]*OpInfo]
 	opInfoMu sync.Mutex // serializes inserts
 )
 
@@ -46,7 +47,12 @@ const maxCachedOpcodes = 1024
 
 // Decode returns the pre-decoded form of a full opcode, memoized
 // process-wide by opcode spelling.
-func Decode(opcode string) OpInfo {
+func Decode(opcode string) OpInfo { return *decodeRef(opcode) }
+
+// decodeRef is Decode returning the interned record, which callers
+// must not modify. A spelling the table does not keep gets a fresh
+// record.
+func decodeRef(opcode string) *OpInfo {
 	if m := opInfos.Load(); m != nil {
 		if info, ok := (*m)[opcode]; ok {
 			return info
@@ -56,29 +62,38 @@ func Decode(opcode string) OpInfo {
 	// Unknown spellings fail validation; keeping them out of the cache
 	// stops malformed input from filling it.
 	if info.Class != ClassUnknown {
-		storeOpInfo(opcode, info)
+		return storeOpInfo(opcode, info)
 	}
-	return info
+	return &info
 }
 
 // storeOpInfo publishes a snapshot with opcode added, unless another
-// insert already did or the table is full.
-func storeOpInfo(opcode string, info OpInfo) {
+// insert already did or the table is full, and returns opcode's record.
+func storeOpInfo(opcode string, info OpInfo) *OpInfo {
 	opInfoMu.Lock()
 	defer opInfoMu.Unlock()
-	var old map[string]OpInfo
+	var old map[string]*OpInfo
 	if m := opInfos.Load(); m != nil {
 		old = *m
 	}
-	if _, ok := old[opcode]; ok || len(old) >= maxCachedOpcodes {
-		return
+	if p, ok := old[opcode]; ok {
+		return p
 	}
-	next := make(map[string]OpInfo, len(old)+1)
+	if len(old) >= maxCachedOpcodes {
+		return &info
+	}
+	next := make(map[string]*OpInfo, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
-	next[strings.Clone(opcode)] = info
+	// The record is decoded again from the cloned key: Root and Cmp
+	// slice their opcode, which must not be the caller's.
+	key := strings.Clone(opcode)
+	p := new(OpInfo)
+	*p = decodeOpcode(key)
+	next[key] = p
 	opInfos.Store(&next)
+	return p
 }
 
 func decodeOpcode(opcode string) OpInfo {
@@ -124,29 +139,37 @@ const (
 	SrcFloat
 )
 
-// Src is one decoded source operand.
+// Src is one decoded source operand. Its text is the instruction's
+// (DecodedKernel.SrcText).
 type Src struct {
 	// Kind says which of the fields below carries the value.
 	Kind SrcKind
+	// Mem marks a register read as the address of a bracketed memory
+	// reference, "[%rd1+4]", rather than directly (SrcReg only).
+	Mem bool
 	// Reg is the register id (SrcReg only).
 	Reg int32
-	// Imm is the decimal value (SrcImm) or the bit pattern (SrcFloat).
+	// Imm is the decimal value (SrcImm), the bit pattern (SrcFloat) or
+	// the register's index in SpecialRegs (SrcSpecial).
 	Imm int64
-	// Text is the operand with surrounding space trimmed.
-	Text string
 }
+
+// Special returns the name of a SrcSpecial operand's register.
+func (s Src) Special() string { return SpecialRegs[s.Imm] }
 
 // DecodedInst is one instruction of a DecodedKernel.
 type DecodedInst struct {
-	// Op is Decode(Opcode).
-	Op OpInfo
+	// Op is Decode(Opcode), shared with every instruction of the same
+	// spelling: read-only.
+	Op *OpInfo
 	// Guard is the register id of the guard predicate, Dest the id of
 	// Instruction.Dest() exactly as written, and Addr the id of the
 	// register in the first bracketed operand (destination included);
 	// each is -1 when absent.
 	Guard, Dest, Addr int32
-	// Srcs are Instruction.Sources(), decoded.
-	Srcs []Src
+	// srcEnd is the end of the instruction's sources in
+	// DecodedKernel.srcs; they start where the previous one's end.
+	srcEnd int32
 }
 
 // DecodedKernel is a kernel body decoded once for the static passes:
@@ -165,31 +188,56 @@ type DecodedKernel struct {
 	// bracketed destination operand.
 	Regs           []string
 	NumOperandRegs int
+	// srcs holds every instruction's sources, in body order (Srcs).
+	srcs []Src
+}
+
+// SrcText returns the text of source s of instruction i, with
+// surrounding space trimmed.
+func (d *DecodedKernel) SrcText(i, s int) string {
+	ops := d.Kernel.Body[i].Operands
+	if d.Insts[i].Op.Dest && len(ops) > 0 {
+		ops = ops[1:]
+	}
+	return strings.TrimSpace(ops[s])
+}
+
+// Srcs returns instruction i's Instruction.Sources(), decoded. The
+// slice is the decode's own: read-only.
+func (d *DecodedKernel) Srcs(i int) []Src {
+	start := int32(0)
+	if i > 0 {
+		start = d.Insts[i-1].srcEnd
+	}
+	end := d.Insts[i].srcEnd
+	return d.srcs[start:end:end]
 }
 
 // DecodeKernel decodes the body of k.
 func DecodeKernel(k *Kernel) *DecodedKernel {
-	nsrc := 0
-	for i := range k.Body {
-		nsrc += len(k.Body[i].Operands)
-	}
-	nregs := declaredRegs(k, nsrc+len(k.Body))
-	d := &DecodedKernel{Kernel: k, Insts: make([]DecodedInst, len(k.Body)), Regs: make([]string, 0, nregs)}
-	ids := make(map[string]int32, nregs)
-	intern := func(r string) int32 {
-		id, ok := ids[r]
-		if !ok {
-			id = int32(len(d.Regs))
-			ids[r] = id
-			d.Regs = append(d.Regs, r)
-		}
-		return id
-	}
-	srcs := make([]Src, 0, nsrc)
+	d := &DecodedKernel{Kernel: k, Insts: make([]DecodedInst, len(k.Body))}
+	// The opcodes first: they size the sources exactly.
+	nops, nsrc := 0, 0
 	for i := range k.Body {
 		in := &k.Body[i]
 		di := &d.Insts[i]
-		di.Op = Decode(in.Opcode)
+		di.Op = decodeRef(in.Opcode)
+		n := len(in.Operands)
+		nops += n
+		if di.Op.Dest && n > 0 {
+			n--
+		}
+		nsrc += n
+	}
+	limit := nops + len(k.Body)
+	nregs := declaredRegs(k, limit)
+	d.Regs = make([]string, 0, nregs)
+	d.srcs = make([]Src, 0, nsrc)
+	ids := regIDs{d: d, banks: k.Regs, pos: make([]int32, nregs)}
+	intern := ids.intern
+	for i := range k.Body {
+		in := &k.Body[i]
+		di := &d.Insts[i]
 		di.Guard, di.Dest, di.Addr = -1, -1, -1
 		if in.Pred != "" {
 			di.Guard = intern(in.Pred)
@@ -201,28 +249,28 @@ func DecodeKernel(k *Kernel) *DecodedKernel {
 			}
 			ops = ops[1:]
 		}
-		start := len(srcs)
 		for _, op := range ops {
-			s := Src{Reg: -1, Text: strings.TrimSpace(op)}
+			s := Src{Reg: -1}
+			text := strings.TrimSpace(op)
 			switch r := RegOperand(op); {
 			case r != "":
-				s.Kind, s.Reg = SrcReg, intern(r)
-			case IsSpecialReg(s.Text):
-				s.Kind = SrcSpecial
-			case strings.HasPrefix(s.Text, "0f") || strings.HasPrefix(s.Text, "0F"):
-				if bits, err := strconv.ParseUint(s.Text[2:], 16, 64); err == nil {
+				s.Kind, s.Mem, s.Reg = SrcReg, text[0] == '[', intern(r)
+			case IsSpecialReg(text):
+				s.Kind, s.Imm = SrcSpecial, int64(specialRegs[text])
+			case strings.HasPrefix(text, "0f") || strings.HasPrefix(text, "0F"):
+				if bits, err := strconv.ParseUint(text[2:], 16, 64); err == nil {
 					s.Kind, s.Imm = SrcFloat, int64(bits)
 				}
-			case s.Text != "" && strings.IndexByte("+-0123456789", s.Text[0]) >= 0:
+			case text != "" && strings.IndexByte("+-0123456789", text[0]) >= 0:
 				// The guard spares ParseInt's error allocation on text it
 				// must reject anyway.
-				if v, err := strconv.ParseInt(s.Text, 10, 64); err == nil {
+				if v, err := strconv.ParseInt(text, 10, 64); err == nil {
 					s.Kind, s.Imm = SrcImm, v
 				}
 			}
-			srcs = append(srcs, s)
+			d.srcs = append(d.srcs, s)
 		}
-		di.Srcs = srcs[start:len(srcs):len(srcs)]
+		di.srcEnd = int32(len(d.srcs))
 	}
 	d.NumOperandRegs = len(d.Regs)
 	for i := range k.Body {
@@ -236,6 +284,90 @@ func DecodeKernel(k *Kernel) *DecodedKernel {
 		}
 	}
 	return d
+}
+
+// regIDs numbers the registers of one decode in first appearance. A
+// spelling of a declared bank, its prefix followed by an index below
+// the bank's count written without leading zeros, has a fixed position
+// in pos, the banks laid end to end in declaration order; any other
+// spelling, or one past the len(pos) positions, goes to a map made on
+// first use. A spelling resolves to one position, in the first bank
+// it belongs to, and distinct spellings to distinct positions.
+type regIDs struct {
+	d     *DecodedKernel
+	banks []RegDecl
+	// pos[p] is the id of the register at position p plus one, 0
+	// before its first appearance.
+	pos    []int32
+	others map[string]int32
+}
+
+// intern returns the id of the register spelled r, numbering it on
+// first appearance.
+func (ids *regIDs) intern(r string) int32 {
+	if p := ids.position(r); p >= 0 {
+		if id := ids.pos[p]; id > 0 {
+			return id - 1
+		}
+		id := ids.add(r)
+		ids.pos[p] = id + 1
+		return id
+	}
+	if id, ok := ids.others[r]; ok {
+		return id
+	}
+	if ids.others == nil {
+		ids.others = make(map[string]int32)
+	}
+	id := ids.add(r)
+	ids.others[r] = id
+	return id
+}
+
+// add numbers the register spelled r.
+func (ids *regIDs) add(r string) int32 {
+	ids.d.Regs = append(ids.d.Regs, r)
+	return int32(len(ids.d.Regs) - 1)
+}
+
+// position returns the position of the bank register spelled r, or -1.
+func (ids *regIDs) position(r string) int {
+	base := 0
+	for _, b := range ids.banks {
+		if b.Count <= 0 {
+			continue
+		}
+		if base >= len(ids.pos) {
+			break
+		}
+		if n := bankIndex(r, b.Prefix); n >= 0 && n < b.Count && base+n < len(ids.pos) {
+			return base + n
+		}
+		base += min(b.Count, len(ids.pos))
+	}
+	return -1
+}
+
+// bankIndex returns the index of the register spelled r in a bank
+// named prefix: r is prefix followed by a decimal index without
+// leading zeros. It returns -1 when r is not such a spelling.
+func bankIndex(r, prefix string) int {
+	if !strings.HasPrefix(r, prefix) {
+		return -1
+	}
+	digits := r[len(prefix):]
+	if digits == "" || len(digits) > 9 || (digits[0] == '0' && len(digits) > 1) {
+		return -1
+	}
+	n := 0
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return -1
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n
 }
 
 // declaredRegs is the number of registers the banks of k declare, at

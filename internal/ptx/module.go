@@ -1,6 +1,11 @@
 package ptx
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // Instruction is one PTX instruction: an optional guard predicate, a full
 // opcode and its operand list. For opcodes with a destination (HasDest),
@@ -101,31 +106,57 @@ type Kernel struct {
 	Body []Instruction
 	// Labels maps label names to the Body index they precede.
 	Labels map[string]int
-	// labelAt maps a body index to its label names (for printing).
-	labelAt map[int][]string
 }
 
 // AddLabel attaches a label to the next appended instruction index.
 func (k *Kernel) AddLabel(name string) error {
 	if k.Labels == nil {
 		k.Labels = make(map[string]int)
-		k.labelAt = make(map[int][]string)
 	}
 	if _, dup := k.Labels[name]; dup {
 		return fmt.Errorf("ptx: duplicate label %q in kernel %q", name, k.Name)
 	}
-	idx := len(k.Body)
-	k.Labels[name] = idx
-	k.labelAt[idx] = append(k.labelAt[idx], name)
+	k.Labels[name] = len(k.Body)
 	return nil
 }
 
 // Append adds an instruction to the body.
 func (k *Kernel) Append(in Instruction) { k.Body = append(k.Body, in) }
 
-// LabelsAt returns the labels attached to a body index.
+// LabelsAt returns the labels attached to a body index, sorted.
 func (k *Kernel) LabelsAt(idx int) []string {
-	return k.labelAt[idx]
+	var out []string
+	for name, at := range k.Labels {
+		if at == idx {
+			out = append(out, name)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Label is one entry of a kernel's label table.
+type Label struct {
+	// Name is the label.
+	Name string
+	// Index is the Body index the label precedes.
+	Index int
+}
+
+// AppendLabels appends the label table to dst ordered by index, then
+// name: the order in which a printer walking the body meets the labels.
+func (k *Kernel) AppendLabels(dst []Label) []Label {
+	n := len(dst)
+	for name, at := range k.Labels {
+		dst = append(dst, Label{Name: name, Index: at})
+	}
+	slices.SortFunc(dst[n:], func(a, b Label) int {
+		if a.Index != b.Index {
+			return cmp.Compare(a.Index, b.Index)
+		}
+		return strings.Compare(a.Name, b.Name)
+	})
+	return dst
 }
 
 // Target resolves a branch target label to a body index.
@@ -189,25 +220,11 @@ func (k *Kernel) validate(m *Module) error {
 		return fmt.Errorf("ptx: kernel without name")
 	}
 	// Labels must point into the body ([0, len] — len marks a trailing
-	// label) and the reverse index must agree with the forward one, so a
-	// hand-assembled kernel cannot print the same label twice.
+	// label).
 	for name, idx := range k.Labels {
 		if idx < 0 || idx > len(k.Body) {
 			return fmt.Errorf("ptx: kernel %q: label %q points at %d, outside the body [0,%d]",
 				k.Name, name, idx, len(k.Body))
-		}
-	}
-	for idx, names := range k.labelAt {
-		seen := make(map[string]bool, len(names))
-		for _, name := range names {
-			if seen[name] {
-				return fmt.Errorf("ptx: kernel %q: duplicate label %q", k.Name, name)
-			}
-			seen[name] = true
-			if at, ok := k.Labels[name]; !ok || at != idx {
-				return fmt.Errorf("ptx: kernel %q: label %q recorded at index %d but resolves to %d",
-					k.Name, name, idx, at)
-			}
 		}
 	}
 	return body

@@ -2,18 +2,30 @@ package ptx
 
 import "strings"
 
-// specialRegs are the read-only hardware registers: they are sourced by
+// SpecialRegs are the read-only hardware registers: they are sourced by
 // instructions but never defined by one.
-var specialRegs = map[string]bool{
-	"%tid.x": true, "%tid.y": true, "%tid.z": true,
-	"%ntid.x": true, "%ntid.y": true, "%ntid.z": true,
-	"%ctaid.x": true, "%ctaid.y": true, "%ctaid.z": true,
-	"%nctaid.x": true, "%nctaid.y": true, "%nctaid.z": true,
+var SpecialRegs = [...]string{
+	"%tid.x", "%tid.y", "%tid.z",
+	"%ntid.x", "%ntid.y", "%ntid.z",
+	"%ctaid.x", "%ctaid.y", "%ctaid.z",
+	"%nctaid.x", "%nctaid.y", "%nctaid.z",
 }
+
+// specialRegs maps each of SpecialRegs to its index.
+var specialRegs = func() map[string]int {
+	m := make(map[string]int, len(SpecialRegs))
+	for i, r := range SpecialRegs {
+		m[r] = i
+	}
+	return m
+}()
 
 // IsSpecialReg reports whether the operand names a read-only hardware
 // register such as "%tid.x".
-func IsSpecialReg(op string) bool { return specialRegs[op] }
+func IsSpecialReg(op string) bool {
+	_, ok := specialRegs[op]
+	return ok
+}
 
 // RegOperand extracts the virtual register name from an operand, handling
 // memory references "[%rd1+4]" and plain registers "%r3". Immediates,

@@ -4,53 +4,72 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Parse reads PTX assembly text (the subset this package prints plus the
 // nvcc conventions of the paper's Fig. 2: comments, directives, labels,
 // predicated instructions) into a Module.
 func Parse(src string) (*Module, error) {
-	p := &parser{lines: splitLines(src)}
+	p := &parser{src: src}
 	return p.parseModule()
 }
 
+// parser walks the normalised lines of src (see nextLine) one at a
+// time, without materialising them.
 type parser struct {
-	lines []string
-	pos   int
+	src string
+	// off is the offset in src of the first line not yet consumed, pos
+	// the number of normalised lines consumed: error messages number
+	// normalised lines, from 1.
+	off, pos int
+	// peeked holds the next line (line, ending at src offset end) once
+	// peek has found it; ok is false at the end of src.
+	peeked, ok bool
+	line       string
+	end        int
 	// ops is the current kernel's operand backing array: each
 	// instruction's Operands is a capacity-limited sub-slice of it, so
 	// appending to one instruction's operands never overwrites the next.
 	ops []string
+	// buf joins a parameter list that spans lines.
+	buf []byte
 }
 
-// splitLines normalises the input: strips // comments and blank lines,
-// keeps everything else trimmed.
-func splitLines(src string) []string {
-	raw := strings.Split(src, "\n")
-	out := make([]string, 0, len(raw))
-	for _, l := range raw {
+// nextLine returns the first normalised line of src at or after offset
+// off, and the offset after it: lines are stripped of // comments and
+// surrounding space, and blank ones are skipped. ok is false when none
+// is left.
+func nextLine(src string, off int) (line string, end int, ok bool) {
+	for off < len(src) {
+		l := src[off:]
+		if i := strings.IndexByte(l, '\n'); i >= 0 {
+			l, off = l[:i], off+i+1
+		} else {
+			off = len(src)
+		}
 		if i := strings.Index(l, "//"); i >= 0 {
 			l = l[:i]
 		}
-		l = strings.TrimSpace(l)
-		if l != "" {
-			out = append(out, l)
+		if l = strings.TrimSpace(l); l != "" {
+			return l, off, true
 		}
 	}
-	return out
+	return "", off, false
 }
 
 func (p *parser) peek() (string, bool) {
-	if p.pos >= len(p.lines) {
-		return "", false
+	if !p.peeked {
+		p.line, p.end, p.ok = nextLine(p.src, p.off)
+		p.peeked = true
 	}
-	return p.lines[p.pos], true
+	return p.line, p.ok
 }
 
 func (p *parser) next() (string, bool) {
 	l, ok := p.peek()
 	if ok {
-		p.pos++
+		p.off, p.pos, p.peeked = p.end, p.pos+1, false
 	}
 	return l, ok
 }
@@ -69,10 +88,10 @@ func (p *parser) parseModule() (*Module, error) {
 		switch {
 		case strings.HasPrefix(line, ".version"):
 			m.Version = strings.TrimSpace(strings.TrimPrefix(line, ".version"))
-			p.pos++
+			p.next()
 		case strings.HasPrefix(line, ".target"):
 			m.Target = strings.TrimSpace(strings.TrimPrefix(line, ".target"))
-			p.pos++
+			p.next()
 		case strings.HasPrefix(line, ".address_size"):
 			v := strings.TrimSpace(strings.TrimPrefix(line, ".address_size"))
 			n, err := strconv.Atoi(v)
@@ -80,7 +99,7 @@ func (p *parser) parseModule() (*Module, error) {
 				return nil, p.errf("bad address size %q", v)
 			}
 			m.AddressSize = n
-			p.pos++
+			p.next()
 		case strings.Contains(line, ".entry"):
 			k, err := p.parseKernel()
 			if err != nil {
@@ -113,29 +132,41 @@ func (p *parser) parseKernel() (*Kernel, error) {
 	}
 	k := &Kernel{Name: name}
 
-	// Parameters: either inline up to ')' or on following lines.
+	// Parameters: either inline up to ')' or on following lines, joined
+	// by single spaces.
 	paramText := inlineParams
-	for !strings.Contains(paramText, ")") {
-		l, ok := p.next()
-		if !ok {
-			return nil, p.errf("unterminated parameter list for %q", name)
+	if !strings.Contains(paramText, ")") {
+		p.buf = append(p.buf[:0], paramText...)
+		for {
+			l, ok := p.next()
+			if !ok {
+				return nil, p.errf("unterminated parameter list for %q", name)
+			}
+			p.buf = append(append(p.buf, ' '), l...)
+			if strings.Contains(l, ")") {
+				break
+			}
 		}
-		paramText += " " + l
+		paramText = string(p.buf)
 	}
 	closing := strings.Index(paramText, ")")
 	body := strings.TrimSpace(paramText[closing+1:])
 	paramText = paramText[:closing]
-	for _, decl := range strings.Split(paramText, ",") {
-		decl = strings.TrimSpace(decl)
-		if decl == "" {
+	for more := true; more; {
+		var decl string
+		decl, paramText, more = strings.Cut(paramText, ",")
+		if decl = strings.TrimSpace(decl); decl == "" {
 			continue
 		}
-		fields := strings.Fields(decl)
 		// ".param .u64 name"
-		if len(fields) != 3 || fields[0] != ".param" {
+		var f [3]string
+		if fields(decl, f[:]) != 3 || f[0] != ".param" {
 			return nil, p.errf("bad parameter %q", decl)
 		}
-		k.Params = append(k.Params, Param{Type: fields[1], Name: fields[2]})
+		if k.Params == nil {
+			k.Params = make([]Param, 0, strings.Count(paramText, ",")+1)
+		}
+		k.Params = append(k.Params, Param{Type: f[1], Name: f[2]})
 	}
 
 	// Opening brace may trail the parameter list or sit on its own line.
@@ -151,8 +182,11 @@ func (p *parser) parseKernel() (*Kernel, error) {
 		}
 		body = strings.TrimSpace(strings.TrimPrefix(body, "{"))
 	}
-	insts, ops := p.bodyBounds(body)
+	insts, ops, regs := p.bodyBounds(body)
 	k.Body = make([]Instruction, 0, insts)
+	if regs > 0 {
+		k.Regs = make([]RegDecl, 0, regs)
+	}
 	p.ops = make([]string, 0, ops)
 	if body != "" {
 		// Rare: instruction on the brace line.
@@ -190,18 +224,28 @@ func (p *parser) parseKernel() (*Kernel, error) {
 
 // bodyBounds bounds the instruction and operand counts of the kernel
 // body made of first (the text after the opening brace) and the lines
-// up to the closing brace: an instruction ends with a ';', and has at
-// most one operand more than it has commas.
-func (p *parser) bodyBounds(first string) (insts, ops int) {
-	semis, commas := strings.Count(first, ";"), strings.Count(first, ",")
-	for _, l := range p.lines[p.pos:] {
-		semis += strings.Count(l, ";")
-		commas += strings.Count(l, ",")
+// up to the closing brace, and counts its .reg lines: an instruction
+// ends with a ';', and has at most one operand more than it has
+// commas. The lines parseBodyLine takes as directives hold none.
+func (p *parser) bodyBounds(first string) (insts, ops, regs int) {
+	count := func(l string) {
+		switch {
+		case strings.HasPrefix(l, ".reg"):
+			regs++
+		case strings.HasPrefix(l, ".reqntid"), strings.HasPrefix(l, ".maxntid"):
+		default:
+			insts += strings.Count(l, ";")
+			ops += strings.Count(l, ",")
+		}
+	}
+	count(first)
+	for l, off, ok := nextLine(p.src, p.off); ok; l, off, ok = nextLine(p.src, off) {
+		count(l)
 		if strings.HasSuffix(l, "}") {
 			break
 		}
 	}
-	return semis, semis + commas
+	return insts, insts + ops, regs
 }
 
 // parseBodyLine handles one body line: a .reg declaration, a label, or
@@ -265,11 +309,11 @@ func isLabelName(s string) bool {
 func (p *parser) parseRegDecl(k *Kernel, line string) error {
 	// ".reg .f32 %f<40>;"
 	line = strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(line, ".reg")), ";")
-	fields := strings.Fields(line)
-	if len(fields) != 2 {
+	var f [2]string
+	if fields(line, f[:]) != 2 {
 		return p.errf("bad .reg declaration %q", line)
 	}
-	spec := fields[1]
+	spec := f[1]
 	lt := strings.IndexByte(spec, '<')
 	gt := strings.IndexByte(spec, '>')
 	if lt < 0 || gt < lt {
@@ -279,9 +323,33 @@ func (p *parser) parseRegDecl(k *Kernel, line string) error {
 	if err != nil {
 		return p.errf("bad register count in %q", spec)
 	}
-	k.Regs = append(k.Regs, RegDecl{Type: fields[0], Prefix: spec[:lt], Count: count})
+	k.Regs = append(k.Regs, RegDecl{Type: f[0], Prefix: spec[:lt], Count: count})
 	return nil
 }
+
+// fields stores the first len(dst) fields of s, as strings.Fields
+// splits it, in dst and returns how many fields s has.
+func fields(s string, dst []string) int {
+	n := 0
+	for {
+		i := strings.IndexFunc(s, isNotSpace)
+		if i < 0 {
+			return n
+		}
+		s = s[i:]
+		j := strings.IndexFunc(s, unicode.IsSpace)
+		if j < 0 {
+			j = len(s)
+		}
+		if n < len(dst) {
+			dst[n] = s[:j]
+		}
+		n++
+		s = s[j:]
+	}
+}
+
+func isNotSpace(r rune) bool { return !unicode.IsSpace(r) }
 
 // parseInstruction parses "@!%p1 opcode a, b, c" (no trailing ';'),
 // carving the operands out of the kernel's backing array.

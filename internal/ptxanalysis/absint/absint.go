@@ -415,13 +415,25 @@ func (e *engine) transferInst(i int, st []Value) {
 	st[ds] = v
 }
 
+// sameRegText reports whether the first two sources of instruction i
+// of d are one register operand spelled twice. A register read
+// directly is spelled as its name, so the ids decide; two memory
+// references to one register may differ in offset.
+func sameRegText(d *ptx.DecodedKernel, i int, srcs []ptx.Src) bool {
+	x, y := srcs[0], srcs[1]
+	if x.Kind != ptx.SrcReg || y.Kind != ptx.SrcReg || x.Reg != y.Reg || x.Mem != y.Mem {
+		return false
+	}
+	return !x.Mem || d.SrcText(i, 0) == d.SrcText(i, 1)
+}
+
 // operand evaluates one source operand against the current state.
 func operand(op ptx.Src, st []Value) Value {
 	switch op.Kind {
 	case ptx.SrcReg:
 		return st[op.Reg]
 	case ptx.SrcSpecial:
-		switch op.Text {
+		switch op.Special() {
 		case "%tid.x":
 			return Value{B: Const(0), T: Const(1)}
 		case "%ntid.x", "%nctaid.x":
@@ -431,7 +443,7 @@ func operand(op ptx.Src, st []Value) Value {
 		}
 		// Other thread-geometry axes: thread-dependent with an unknown
 		// x-stride (a warp can span the y/z axes too).
-		if strings.HasPrefix(op.Text, "%tid.") {
+		if strings.HasPrefix(op.Special(), "%tid.") {
 			return topAny()
 		}
 		return topUniform()
@@ -451,7 +463,7 @@ func (e *engine) evalDef(i int, st []Value) Value {
 	in := &e.d.Insts[i]
 	root := in.Op.Root
 	class := in.Op.Class
-	srcs := in.Srcs
+	srcs := e.d.Srcs(i)
 	get := func(i int) Value {
 		if i < len(srcs) {
 			return operand(srcs[i], st)
@@ -522,7 +534,7 @@ func (e *engine) evalDef(i int, st []Value) Value {
 		}
 		return topUniform()
 	case "setp":
-		return setpVal(in, st)
+		return setpVal(e.d, i, st)
 	case "selp":
 		a, b, p := get(0), get(1), get(2)
 		if c, ok := p.ConstV(); ok {
@@ -586,19 +598,20 @@ func minMaxVal(a, b Value, isMin bool) Value {
 	return topAny()
 }
 
-// setpVal evaluates a comparison to an abstract predicate in {0,1}.
-func setpVal(in *ptx.DecodedInst, st []Value) Value {
-	srcs := in.Srcs
+// setpVal evaluates the comparison at body index i of dk to an abstract
+// predicate in {0,1}.
+func setpVal(dk *ptx.DecodedKernel, i int, st []Value) Value {
+	srcs := dk.Srcs(i)
 	if len(srcs) < 2 {
 		return topAny()
 	}
-	cmp := in.Op.Cmp
+	cmp := dk.Insts[i].Op.Cmp
 	a := operand(srcs[0], st)
 	b := operand(srcs[1], st)
 
 	// Identical operand text compares a register against itself: the
 	// outcome is decided reflexively whatever the value.
-	if srcs[0].Text == srcs[1].Text && srcs[0].Kind == ptx.SrcReg {
+	if sameRegText(dk, i, srcs) {
 		switch cmp {
 		case "eq", "le", "ge":
 			return constVal(1)
@@ -702,7 +715,7 @@ func (e *engine) derive() {
 func (e *engine) recordFacts(bi, line int, st []Value) {
 	in := &e.d.Insts[line]
 	// Possibly-undefined reads: direct register sources plus the guard.
-	for _, src := range in.Srcs {
+	for _, src := range e.d.Srcs(line) {
 		if src.Kind == ptx.SrcReg && st[src.Reg].Undef {
 			e.res.UndefUses = append(e.res.UndefUses, UndefUse{Line: line, Reg: e.res.Regs[src.Reg]})
 		}

@@ -82,17 +82,24 @@ func AnalyzeKernel(k *ptx.Kernel) (*KernelAnalysis, error) {
 // histogram when a metrics registry is wired in (RegisterMetrics).
 // Tracing never changes the computed analysis.
 func AnalyzeKernelContext(ctx context.Context, k *ptx.Kernel) (*KernelAnalysis, error) {
+	a, _, err := analyzeKernel(ctx, k)
+	return a, err
+}
+
+// analyzeKernel is AnalyzeKernelContext also returning the body it
+// decoded, nil for an empty body.
+func analyzeKernel(ctx context.Context, k *ptx.Kernel) (*KernelAnalysis, *ptx.DecodedKernel, error) {
 	if k == nil {
-		return nil, fmt.Errorf("ptxanalysis: nil kernel")
+		return nil, nil, fmt.Errorf("ptxanalysis: nil kernel")
 	}
 	if len(k.Body) == 0 {
-		return emptyAnalysis(k.Name), nil
+		return emptyAnalysis(k.Name), nil, nil
 	}
 	p, err := gatePasses(k, k.Name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return p.full(ctx, p.gate()), nil
+	return p.full(ctx, p.gate()), p.d, nil
 }
 
 // AnalyzeKernelGate runs the gate level of one kernel's static
@@ -219,7 +226,7 @@ type ModuleAnalysis struct {
 }
 
 // Gate returns the gate level of the module analysis, sharing its
-// per-kernel values.
+// per-kernel values. It carries no decoded bodies.
 func (ma *ModuleAnalysis) Gate() *ModuleGate {
 	mg := &ModuleGate{Kernels: make([]*KernelGate, len(ma.Kernels)), Digests: ma.Digests}
 	for i, a := range ma.Kernels {
@@ -239,6 +246,31 @@ func AnalyzeModule(m *ptx.Module) (*ModuleAnalysis, error) {
 // cache disables memoization. The per-kernel abstract interpretation is
 // traced, and ctx is checked between kernels.
 func AnalyzeModuleCachedContext(ctx context.Context, m *ptx.Module, c *analysiscache.Cache) (*ModuleAnalysis, error) {
+	return analyzeModule(ctx, m, c, nil)
+}
+
+// AnalyzeModuleGatedCachedContext is AnalyzeModuleCachedContext also
+// returning the gate level of the analysis, whose Decoded holds the
+// kernel bodies this call decoded, as AnalyzeModuleGateCachedContext
+// hands them over. The module analysis holds none of them.
+func AnalyzeModuleGatedCachedContext(ctx context.Context, m *ptx.Module, c *analysiscache.Cache) (*ModuleAnalysis, *ModuleGate, error) {
+	var decoded []*ptx.DecodedKernel
+	if m != nil {
+		decoded = make([]*ptx.DecodedKernel, 0, len(m.Kernels))
+	}
+	ma, err := analyzeModule(ctx, m, c, &decoded)
+	if err != nil {
+		return nil, nil, err
+	}
+	gate := ma.Gate()
+	gate.Decoded = decoded
+	return ma, gate, nil
+}
+
+// analyzeModule is AnalyzeModuleCachedContext appending, when decoded
+// is not nil, the body each kernel's analysis decoded in this call to
+// it (nil where it decoded none).
+func analyzeModule(ctx context.Context, m *ptx.Module, c *analysiscache.Cache, decoded *[]*ptx.DecodedKernel) (*ModuleAnalysis, error) {
 	if m == nil {
 		return nil, fmt.Errorf("ptxanalysis: nil module")
 	}
@@ -248,9 +280,12 @@ func AnalyzeModuleCachedContext(ctx context.Context, m *ptx.Module, c *analysisc
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		a, d, err := AnalyzeKernelCached(ctx, k, c)
+		a, dec, d, err := analyzeKernelCached(ctx, k, c)
 		if err != nil {
 			return nil, err
+		}
+		if decoded != nil {
+			*decoded = append(*decoded, dec)
 		}
 		out.Kernels = append(out.Kernels, a)
 		out.Digests = append(out.Digests, d)
@@ -323,26 +358,28 @@ type memo struct {
 }
 
 // complete returns the full level, computing it from k — a kernel with
-// the entry's body — on first use. A completion that panics leaves the
+// the entry's body — on first use, and then also the body it decoded,
+// which the entry does not hold. A completion that panics leaves the
 // entry at the gate level for the next consumer to retry.
-func (m *memo) complete(ctx context.Context, k *ptx.Kernel) *KernelAnalysis {
+func (m *memo) complete(ctx context.Context, k *ptx.Kernel) (*KernelAnalysis, *ptx.DecodedKernel) {
 	if a := m.full.Load(); a != nil {
-		return a
+		return a, nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if a := m.full.Load(); a != nil {
-		return a
+		return a, nil
 	}
 	var a *KernelAnalysis
+	var dec *ptx.DecodedKernel
 	if m.gate.CFG == nil {
 		a = emptyAnalysis(m.gate.Kernel)
 	} else {
 		p := livePasses(k, m.gate.Kernel, m.gate.CFG, Dominators(m.gate.CFG), m.gate.Loops)
-		a = p.full(ctx, m.gate)
+		a, dec = p.full(ctx, m.gate), p.d
 	}
 	m.full.Store(a)
-	return a
+	return a, dec
 }
 
 // memoOf returns k's cache entry in c and k's content digest, creating
@@ -388,22 +425,32 @@ func memoOf(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache, full boo
 // memory-only: no disk tier persists the analysis, which a fresh
 // process derives again from the kernel text.
 func AnalyzeKernelCached(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache) (*KernelAnalysis, analysiscache.Digest, error) {
+	a, _, d, err := analyzeKernelCached(ctx, k, c)
+	return a, d, err
+}
+
+// analyzeKernelCached is AnalyzeKernelCached also returning the body it
+// decoded: nil when the full level came from c or the body is empty.
+func analyzeKernelCached(ctx context.Context, k *ptx.Kernel, c *analysiscache.Cache) (*KernelAnalysis, *ptx.DecodedKernel, analysiscache.Digest, error) {
 	if c == nil || k == nil {
-		a, err := AnalyzeKernelContext(ctx, k)
-		return a, analysiscache.Digest{}, err
+		a, dec, err := analyzeKernel(ctx, k)
+		return a, dec, analysiscache.Digest{}, err
 	}
-	m, _, d, err := memoOf(ctx, k, c, true)
+	m, dec, d, err := memoOf(ctx, k, c, true)
 	if err != nil {
-		return nil, d, err
+		return nil, nil, d, err
 	}
-	a := m.complete(ctx, k)
+	a, completed := m.complete(ctx, k)
+	if dec == nil {
+		dec = completed
+	}
 	if a.Kernel == k.Name {
-		return a, d, nil
+		return a, dec, d, nil
 	}
 	cp := *a
 	cp.KernelGate = *a.KernelGate.renamed(k.Name)
 	cp.Diags = restamp(a.Diags, k.Name)
-	return &cp, d, nil
+	return &cp, dec, d, nil
 }
 
 // AnalyzeKernelGateCached is AnalyzeKernelCached at the gate level: on a

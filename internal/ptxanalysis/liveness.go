@@ -51,8 +51,9 @@ func (s RegSet) each(f func(id int32)) {
 // usesOf calls f for every register an instruction reads: its register
 // sources (including address registers of memory references), then its
 // guard predicate.
-func usesOf(in *ptx.DecodedInst, f func(id int32)) {
-	for _, s := range in.Srcs {
+func usesOf(d *ptx.DecodedKernel, i int, f func(id int32)) {
+	in := &d.Insts[i]
+	for _, s := range d.Srcs(i) {
 		if s.Kind == ptx.SrcReg {
 			f(s.Reg)
 		}
@@ -102,19 +103,26 @@ func ComputeLiveness(k *ptx.Kernel, g *cfg.Graph) *Liveness {
 
 func computeLiveness(d *ptx.DecodedKernel, g *cfg.Graph) *Liveness {
 	n := len(g.Blocks)
-	sets := newRegSets(4*n+1, len(d.Regs))
-	useB, defB := sets[:n], sets[n:2*n]
+	sets := newRegSets(2*n+1, len(d.Regs))
 	lv := &Liveness{
-		LiveIn:       sets[2*n : 3*n],
-		LiveOut:      sets[3*n : 4*n],
+		LiveIn:       sets[:n],
+		LiveOut:      sets[n : 2*n],
 		UseBeforeDef: make(map[string]int),
 		regs:         d.Regs,
 	}
+	// The per-block use and def sets live only here, so they share one
+	// array without a set header each: block b's are useDef(b).
+	words := len(sets[2*n])
+	useDefs := make([]uint64, 2*n*words)
+	useDef := func(b int) (use, def RegSet) {
+		w := useDefs[2*b*words:]
+		return w[:words:words], w[words : 2*words : 2*words]
+	}
 	for bi, b := range g.Blocks {
-		u, df := useB[bi], defB[bi]
+		u, df := useDef(bi)
 		for i := b.Start; i < b.End; i++ {
 			in := &d.Insts[i]
-			usesOf(in, func(r int32) {
+			usesOf(d, i, func(r int32) {
 				if !df.Has(r) {
 					u.add(r)
 				}
@@ -141,7 +149,8 @@ func computeLiveness(d *ptx.DecodedKernel, g *cfg.Graph) *Liveness {
 					}
 				}
 			}
-			in, u, df := lv.LiveIn[bi], useB[bi], defB[bi]
+			in := lv.LiveIn[bi]
+			u, df := useDef(bi)
 			for w := range in {
 				if x := u[w] | out[w]&^df[w]; x&^in[w] != 0 {
 					in[w] |= x
@@ -157,9 +166,9 @@ func computeLiveness(d *ptx.DecodedKernel, g *cfg.Graph) *Liveness {
 	entry := lv.LiveIn[0]
 	pending := entry.Len()
 	entry.each(func(r int32) { lv.UseBeforeDef[d.Regs[r]] = -1 })
-	seen := sets[4*n]
+	seen := sets[2*n]
 	for i := 0; pending > 0 && i < len(d.Insts); i++ {
-		usesOf(&d.Insts[i], func(r int32) {
+		usesOf(d, i, func(r int32) {
 			if entry.Has(r) && !seen.Has(r) {
 				seen.add(r)
 				lv.UseBeforeDef[d.Regs[r]] = i
@@ -184,7 +193,7 @@ func computeLiveness(d *ptx.DecodedKernel, g *cfg.Graph) *Liveness {
 					live.remove(in.Dest)
 				}
 			}
-			usesOf(in, live.add)
+			usesOf(d, i, live.add)
 		}
 	}
 	sort.Ints(lv.DeadDefs)
@@ -283,7 +292,7 @@ func computePressure(d *ptx.DecodedKernel, g *cfg.Graph, lv *Liveness) Pressure 
 				counts[typeOf[r]]--
 				total--
 			}
-			usesOf(in, enter)
+			usesOf(d, i, enter)
 			measure()
 		}
 	}

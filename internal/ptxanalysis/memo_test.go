@@ -248,3 +248,64 @@ func TestModuleGateDecodedPerCall(t *testing.T) {
 		}
 	}
 }
+
+// TestModuleGatedDecodedPerCall: the gate AnalyzeModuleGatedCachedContext
+// returns carries the body of each kernel whose entry the call created
+// or completed to the full level, and no other.
+func TestModuleGatedDecodedPerCall(t *testing.T) {
+	_, m := parsedAlexnet(t)
+	ctx := context.Background()
+	// checkDecoded fails unless g's bodies are exactly those of the first
+	// kernel of each key in fresh, a fresh decode of it each.
+	checkDecoded := func(what string, g *ModuleGate, fresh bool) {
+		t.Helper()
+		if len(g.Decoded) != len(m.Kernels) || len(g.Kernels) != len(m.Kernels) {
+			t.Fatalf("%s: %d decoded bodies and %d gates for %d kernels", what, len(g.Decoded), len(g.Kernels), len(m.Kernels))
+		}
+		seen := make(map[string]bool)
+		for i, k := range m.Kernels {
+			key := g.Digests[i].Key("ptxa")
+			first := !seen[key]
+			seen[key] = true
+			switch dec := g.Decoded[i]; {
+			case !fresh || !first:
+				if dec != nil {
+					t.Errorf("%s: %s carries a decoded body it did not decode", what, k.Name)
+				}
+			case dec == nil || dec.Kernel != k:
+				t.Errorf("%s: %s carries no decoded body of its own", what, k.Name)
+			case !reflect.DeepEqual(dec, ptx.DecodeKernel(k)):
+				t.Errorf("%s: %s: the handed-over body differs from a fresh decode", what, k.Name)
+			}
+		}
+	}
+	full := func(c *analysiscache.Cache) *ModuleGate {
+		t.Helper()
+		ma, g, err := AnalyzeModuleGatedCachedContext(ctx, m, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ma.Gate(); !reflect.DeepEqual(g.Kernels, want.Kernels) || !reflect.DeepEqual(g.Digests, want.Digests) {
+			t.Fatal("the gate differs from the module analysis's")
+		}
+		return g
+	}
+	// A miss creates the entry at the full level.
+	c := analysiscache.New(0)
+	checkDecoded("cold", full(c), true)
+	checkDecoded("warm", full(c), false)
+	// A gate-level entry is completed to the full level.
+	c = analysiscache.New(0)
+	if _, err := AnalyzeModuleGateCachedContext(ctx, m, c); err != nil {
+		t.Fatal(err)
+	}
+	checkDecoded("completed", full(c), true)
+	checkDecoded("complete", full(c), false)
+	// Uncached, every kernel decodes.
+	g := full(nil)
+	for i, k := range m.Kernels {
+		if dec := g.Decoded[i]; dec == nil || dec.Kernel != k {
+			t.Errorf("uncached: %s carries no decoded body of its own", k.Name)
+		}
+	}
+}

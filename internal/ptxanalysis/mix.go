@@ -118,10 +118,17 @@ func smallShift(op ptx.Src) bool {
 // uniform, %tid.x is the unit reference, other special registers are
 // uniform per thread block.
 func (s *strider) operandClass(op ptx.Src) strideClass {
-	if strings.HasPrefix(op.Text, "%tid.") {
-		return strideUnit
-	}
-	if op.Kind == ptx.SrcReg {
+	// The operand's text starts with "%tid.": a special register, or a
+	// register read directly, spelled as its name, of that prefix.
+	switch op.Kind {
+	case ptx.SrcSpecial:
+		if strings.HasPrefix(op.Special(), "%tid.") {
+			return strideUnit
+		}
+	case ptx.SrcReg:
+		if !op.Mem && strings.HasPrefix(s.d.Regs[op.Reg], "%tid.") {
+			return strideUnit
+		}
 		return s.regClass(op.Reg)
 	}
 	return strideUniform
@@ -140,7 +147,7 @@ func (s *strider) regClass(reg int32) strideClass {
 	s.state[reg] = strideOnStack
 	c := strideUniform
 	for _, di := range s.defIdx[s.defStart[reg]:s.defStart[reg+1]] {
-		c = maxStride(c, s.defClass(&s.d.Insts[di]))
+		c = maxStride(c, s.defClass(int(di)))
 	}
 	s.state[reg] = strideDone
 	s.memo[reg] = c
@@ -148,9 +155,10 @@ func (s *strider) regClass(reg int32) strideClass {
 }
 
 // defClass derives the stride class produced by one defining instruction.
-func (s *strider) defClass(in *ptx.DecodedInst) strideClass {
+func (s *strider) defClass(i int) strideClass {
+	in := &s.d.Insts[i]
 	root := in.Op.Root
-	srcs := in.Srcs
+	srcs := s.d.Srcs(i)
 	get := func(i int) strideClass {
 		if i < len(srcs) {
 			return s.operandClass(srcs[i])
